@@ -1,10 +1,32 @@
 package directed
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"testing"
 )
+
+// TestGoldenSerialSwapArcs pins the exact Workers=1 output of the
+// directed chain (pair exchanges plus triangle reversals): FNV-64a over
+// the arc keys, little-endian, in array order, so any change to the
+// seed derivations, permutation, sweep order or acceptance logic fails
+// here.
+func TestGoldenSerialSwapArcs(t *testing.T) {
+	al := cycleDigraph(2000)
+	SwapArcs(al, SwapOptions{Iterations: 4, Workers: 1, Seed: 11})
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, a := range al.Arcs {
+		binary.LittleEndian.PutUint64(buf[:], a.Key())
+		h.Write(buf[:])
+	}
+	const want = uint64(0x5a00c24cf97bc48d)
+	if got := h.Sum64(); got != want {
+		t.Fatalf("serial directed chain output hash = %#x, want %#x", got, want)
+	}
+}
 
 func arcSignature(al *ArcList) string {
 	keys := make([]uint64, len(al.Arcs))

@@ -37,6 +37,26 @@ func TestGoldenSerialChain(t *testing.T) {
 	}
 }
 
+// TestGoldenStubCells pins the serial output of the two non-simple
+// parallel cells the same way TestGoldenSerialChain pins the simple
+// one: loopy-stub exercises the duplicate-only acceptance rule and
+// multigraph-stub the accept-all sweep without a table.
+func TestGoldenStubCells(t *testing.T) {
+	for _, tc := range []struct {
+		space graph.Space
+		want  uint64
+	}{
+		{graph.LoopyStub, 0x65a152c9c75d6101},
+		{graph.MultigraphStub, 0xabb7828153cffa0d},
+	} {
+		el := ring(2000)
+		Run(el, Options{Space: tc.space, Iterations: 4, Workers: 1, Seed: 11})
+		if got := edgeHash(el); got != tc.want {
+			t.Errorf("%s: serial chain output hash = %#x, want %#x", tc.space, got, tc.want)
+		}
+	}
+}
+
 // naiveStep is an independent map-based reimplementation of one
 // Workers=1 iteration, sharing only the seed-derivation helpers with
 // the engine. It is the executable spec the buffered engine must match.

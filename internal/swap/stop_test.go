@@ -1,8 +1,10 @@
 package swap
 
 import (
+	"reflect"
 	"testing"
 
+	"nullgraph/internal/obs"
 	"nullgraph/internal/par"
 )
 
@@ -28,18 +30,28 @@ func TestRunStopPreTripped(t *testing.T) {
 }
 
 // TestRunStopUntrippedBitIdentical: polling must not change the chain
-// at Workers=1.
+// at Workers=1, with or without a recorder attached (instrumented runs
+// poll inside their loops too), and must not change the report.
 func TestRunStopUntrippedBitIdentical(t *testing.T) {
-	a := ring(2048)
-	Run(a, Options{Iterations: 6, Workers: 1, Seed: 9})
-	b := ring(2048)
-	res := Run(b, Options{Iterations: 6, Workers: 1, Seed: 9, Stop: &par.Stop{}})
-	if res.Stopped {
-		t.Fatal("untripped stop reported Stopped")
-	}
-	for i := range a.Edges {
-		if a.Edges[i] != b.Edges[i] {
-			t.Fatalf("stop polling changed the chain at edge %d", i)
+	for _, instrumented := range []bool{false, true} {
+		var recA, recB *obs.Recorder
+		if instrumented {
+			recA, recB = obs.NewRecorder(), obs.NewRecorder()
+		}
+		a := ring(2048)
+		Run(a, Options{Iterations: 6, Workers: 1, Seed: 9, Recorder: recA})
+		b := ring(2048)
+		res := Run(b, Options{Iterations: 6, Workers: 1, Seed: 9, Recorder: recB, Stop: &par.Stop{}})
+		if res.Stopped {
+			t.Fatalf("instrumented=%v: untripped stop reported Stopped", instrumented)
+		}
+		for i := range a.Edges {
+			if a.Edges[i] != b.Edges[i] {
+				t.Fatalf("instrumented=%v: stop polling changed the chain at edge %d", instrumented, i)
+			}
+		}
+		if instrumented && !reflect.DeepEqual(recA.Report(), recB.Report()) {
+			t.Errorf("stop polling changed the run report:\n%+v\n%+v", recA.Report(), recB.Report())
 		}
 	}
 }
