@@ -1,14 +1,15 @@
 # Developer entry points. CI (.github/workflows/ci.yml) runs `verify`,
-# `race`, and `lint`; `bench-swap` tracks the hot path's allocation
-# budget and `bench-gen` the session-reuse allocation budget.
+# `bench-compile`, `race`, and `lint`; `bench-swap` tracks the hot
+# path's allocation budget and `bench-gen` the session-reuse allocation
+# budget.
 
 GO ?= go
 
-.PHONY: verify build vet test test-stat race race-serve lint lint-fix-schemas fuzz-smoke bench-swap bench-gen bench-all bench-check smoke-serve clean
+.PHONY: verify build vet test bench-compile test-stat race race-serve lint lint-fix-schemas fuzz-smoke bench-swap bench-gen bench-all bench-check smoke-serve clean
 
-# verify is the tier-1 gate: everything compiles, vets clean, and every
-# test passes.
-verify: build vet test
+# verify is the tier-1 gate: everything compiles, vets clean, every
+# test passes, and the benchmark module still builds against the API.
+verify: build vet test bench-compile
 
 build:
 	$(GO) build ./...
@@ -18,6 +19,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# bench-compile vets and tests the perfbench module (a separate module
+# that calls internal swap, permute and directed API), so an API change
+# that breaks the benchmark fails here instead of at benchmark time.
+bench-compile:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # test-stat runs the tier-2 statistical verification suite
 # (internal/statcheck) at its documented default budgets: exact-

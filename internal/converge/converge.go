@@ -50,6 +50,7 @@ import (
 
 	"nullgraph/internal/mixing"
 	"nullgraph/internal/obs"
+	"nullgraph/internal/swap"
 )
 
 // Statistic selects the checkpoint trace the Geweke test runs on.
@@ -339,6 +340,37 @@ func (m *Monitor) Outcome() Outcome {
 		Budget:      m.pol.Budget,
 		Checkpoints: cps,
 	}
+}
+
+// swapStopper adapts a Monitor to swap.Stopper.
+type swapStopper struct{ m *Monitor }
+
+func (s swapStopper) Observe(_ int, stats swap.IterStats) bool {
+	sr := 0.0
+	if stats.Attempts > 0 {
+		sr = float64(stats.Successes) / float64(stats.Attempts)
+	}
+	return s.m.Observe(sr, stats.EverSwapped)
+}
+
+// Stopper returns m as the stopper of a swap chain's run loop
+// (swap.Drive), feeding it each iteration's success rate and
+// ever-swapped fraction. The adapter holds only m, so the conversion
+// does not allocate.
+func (m *Monitor) Stopper() swap.Stopper { return swapStopper{m} }
+
+// FixedStop is the stop record of a run without a monitor: a fixed
+// budget of iterations, or — with untilMixed — the paper's
+// ever-swapped heuristic, which either mixed or ran out of budget.
+func FixedStop(iterations int, untilMixed, mixed bool) *Outcome {
+	reason := "scans"
+	if untilMixed {
+		reason = "budget"
+		if mixed {
+			reason = "mixed"
+		}
+	}
+	return &Outcome{Policy: "fixed", Reason: reason, Iterations: iterations}
 }
 
 // gewekeZ computes the equality-of-means z statistic between the first

@@ -177,16 +177,16 @@ func TestFromEdgeListValidation(t *testing.T) {
 		}
 	}
 
-	mx := NewMixer(opt)
-	defer mx.Close()
-	if _, _, err := mx.Mix(nil, 0); err == nil {
-		t.Error("Mixer accepted nil edge list")
+	eng := NewEngine(opt)
+	defer eng.Close()
+	if _, err := eng.ShuffleSample(nil, 0, nil); err == nil {
+		t.Error("ShuffleSample accepted nil edge list")
 	}
-	if _, _, err := mx.Mix(bad, 0); err == nil {
-		t.Error("Mixer accepted out-of-range endpoint")
+	if _, err := eng.ShuffleSample(bad, 0, nil); err == nil {
+		t.Error("ShuffleSample accepted out-of-range endpoint")
 	}
-	if _, _, err := mx.Mix(graph.NewEdgeList(nil, 2), 0); err != nil {
-		t.Errorf("Mixer rejected empty list: %v", err)
+	if _, err := eng.ShuffleSample(graph.NewEdgeList(nil, 2), 0, nil); err != nil {
+		t.Errorf("ShuffleSample rejected empty list: %v", err)
 	}
 }
 

@@ -42,6 +42,9 @@ func collectReport(t *testing.T) *obs.RunReport {
 // diff. Regenerate deliberately with `go test ./internal/core -run
 // RunReportGolden -update`.
 func TestRunReportGolden(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("observability compiled out (nullgraph_noobs)")
+	}
 	rep := collectReport(t)
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -77,6 +80,9 @@ func TestRunReportGolden(t *testing.T) {
 // schema the same way: an adaptive Workers=1 run's full report —
 // including the stop reason and checkpoint trail — must not drift.
 func TestRunReportGoldenAdaptive(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("observability compiled out (nullgraph_noobs)")
+	}
 	d := mustDist(t, map[int64]int64{2: 400, 5: 40, 9: 10})
 	rec := obs.NewRecorder()
 	_, err := FromDistribution(d, Options{
@@ -129,6 +135,9 @@ func TestRunReportGoldenAdaptive(t *testing.T) {
 // TestPipelineReportDeterministic is the acceptance criterion at the
 // pipeline level: same seed, Workers=1, two runs — identical counters.
 func TestPipelineReportDeterministic(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("observability compiled out (nullgraph_noobs)")
+	}
 	a, b := collectReport(t), collectReport(t)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("pipeline reports differ across identical seeded runs:\n%+v\n%+v", a, b)

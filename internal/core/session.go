@@ -75,22 +75,6 @@ type Engine struct {
 	monEl *graph.EdgeList
 }
 
-// monitorStopper adapts the converge monitor to the swap engine's
-// Stopper interface, converting IterStats into the monitor's cheap
-// signals. It lives on the session Engine so steady-state adaptive runs
-// allocate nothing per sample.
-type monitorStopper struct {
-	mon *converge.Monitor
-}
-
-func (s monitorStopper) Observe(_ int, stats swap.IterStats) bool {
-	sr := 0.0
-	if stats.Attempts > 0 {
-		sr = float64(stats.Successes) / float64(stats.Attempts)
-	}
-	return s.mon.Observe(sr, stats.EverSwapped)
-}
-
 // monitor returns the session's convergence monitor for the configured
 // policy, building it on first use. The eval closure reads e.monEl so
 // one monitor serves every sample the session runs.
@@ -112,23 +96,6 @@ func (e *Engine) monitor() *converge.Monitor {
 	}
 	e.mon = converge.NewMonitor(pol, eval)
 	return e.mon
-}
-
-// fixedStopReport summarizes a fixed-budget (or mixed-heuristic) run
-// for the v2 report's stop section.
-func fixedStopReport(opt Options, res swap.Result, mixed bool) *obs.StopReport {
-	reason := "scans"
-	if opt.MixUntilSwapped {
-		reason = "budget"
-		if mixed {
-			reason = "mixed"
-		}
-	}
-	return &obs.StopReport{
-		Policy:     "fixed",
-		Reason:     reason,
-		Iterations: len(res.PerIteration),
-	}
 }
 
 // NewEngine prepares a session for the given pipeline options. The
@@ -207,17 +174,17 @@ func (e *Engine) runSwaps(el *graph.EdgeList, seed uint64, stop *par.Stop) (swap
 		mon := e.monitor()
 		mon.Reset()
 		e.monEl = el
-		res, _ := swap.RunEngineStopper(e.mix, mon.Policy().Budget, monitorStopper{mon})
+		res, _ := e.mix.Run(mon.Policy().Budget, mon.Stopper())
 		e.monEl = nil
 		out := mon.Outcome()
 		return res, false, &out
 	}
+	budget, st := e.opt.SwapIterations, swap.Stopper(nil)
 	if e.opt.MixUntilSwapped {
-		res, mixed := swap.RunEngineUntilMixed(e.mix, e.opt.maxSwapIterations())
-		return res, mixed, fixedStopReport(e.opt, res, mixed)
+		budget, st = e.opt.maxSwapIterations(), swap.UntilMixed{}
 	}
-	res := swap.RunEngine(e.mix)
-	return res, false, fixedStopReport(e.opt, res, false)
+	res, mixed := e.mix.Run(budget, st)
+	return res, mixed, converge.FixedStop(len(res.PerIteration), e.opt.MixUntilSwapped, mixed)
 }
 
 // acquire claims the session for one call, failing fast with
@@ -249,7 +216,7 @@ func (e *Engine) GenerateSample(dist *degseq.Distribution, sample uint64, stop *
 	if err := dist.Validate(); err != nil {
 		return nil, err
 	}
-	if err := validateConnected(e.opt); err != nil {
+	if err := e.opt.validate(); err != nil {
 		return nil, err
 	}
 	if stop.Stopped() {
@@ -333,7 +300,7 @@ func (e *Engine) ShuffleSample(el *graph.EdgeList, sample uint64, stop *par.Stop
 	if err := validateEdgeList(el); err != nil {
 		return nil, err
 	}
-	if err := validateConnected(e.opt); err != nil {
+	if err := e.opt.validate(); err != nil {
 		return nil, err
 	}
 	if stop.Stopped() {

@@ -65,31 +65,6 @@ func TestEngineReuseBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineShuffleMatchesMixer pins the deprecation bridge: Mixer.Mix
-// must remain bit-identical to the Engine path it now delegates to.
-func TestEngineShuffleMatchesMixer(t *testing.T) {
-	opt := Options{Workers: 1, Seed: 13, SwapIterations: 4}
-	mx := NewMixer(opt)
-	defer mx.Close()
-	eng := NewEngine(opt)
-	defer eng.Close()
-	for sample := uint64(0); sample < 3; sample++ {
-		a := ringEdges(1500)
-		if _, _, err := mx.Mix(a, sample); err != nil {
-			t.Fatal(err)
-		}
-		b := ringEdges(1500)
-		if _, err := eng.ShuffleSample(b, sample, nil); err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Edges {
-			if a.Edges[i] != b.Edges[i] {
-				t.Fatalf("sample %d: Mixer diverges from Engine at edge %d", sample, i)
-			}
-		}
-	}
-}
-
 // TestEngineProbabilityCacheInvalidation: switching distributions
 // mid-session must rebuild the matrix, not serve the stale one.
 func TestEngineProbabilityCacheInvalidation(t *testing.T) {

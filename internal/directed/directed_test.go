@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"nullgraph/internal/rng"
+	"nullgraph/internal/swap"
 )
 
 // cycleDigraph returns a directed n-cycle: simple, 1-regular in and out.
@@ -151,10 +152,18 @@ func TestSwapArcsDeterministicSingleWorker(t *testing.T) {
 
 func TestSwapArcsUntilMixed(t *testing.T) {
 	al := cycleDigraph(256)
-	res, mixed := SwapArcsUntilMixed(al, SwapOptions{Workers: 2, Seed: 11}, 200)
+	res, mixed := NewSwapEngine(al, SwapOptions{Workers: 2, Seed: 11, TrackSwapped: true}).Run(200, swap.UntilMixed{})
 	if !mixed {
 		t.Fatalf("did not mix in %d iterations", len(res.PerIteration))
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("swap.UntilMixed without TrackSwapped did not panic")
+			}
+		}()
+		NewSwapEngine(cycleDigraph(16), SwapOptions{Workers: 1}).Run(1, swap.UntilMixed{})
+	}()
 }
 
 func TestSwapArcsSimplifiesMultiArcs(t *testing.T) {

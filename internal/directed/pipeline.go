@@ -8,6 +8,7 @@ import (
 	"nullgraph/internal/obs"
 	"nullgraph/internal/par"
 	"nullgraph/internal/rng"
+	"nullgraph/internal/swap"
 )
 
 // Options configures the directed end-to-end pipeline.
@@ -30,6 +31,14 @@ type Options struct {
 	// Shuffle return par.ErrStopped; Shuffle's arc list stays valid
 	// (joint degrees preserved) but under-mixed.
 	Stop *par.Stop
+}
+
+// validate rejects a negative swap budget.
+func (o Options) validate() error {
+	if o.SwapIterations < 0 {
+		return fmt.Errorf("directed: negative SwapIterations %d", o.SwapIterations)
+	}
+	return nil
 }
 
 func (o Options) maxSwapIterations() int {
@@ -67,6 +76,9 @@ type Result struct {
 // (out, in) degree distribution in expectation: probabilities →
 // directed edge-skipping → directed double-arc swaps.
 func Generate(d *JointDistribution, opt Options) (*Result, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -104,56 +116,34 @@ func Generate(d *JointDistribution, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// monitorStopper adapts the converge monitor to the directed Stopper
-// interface, mirroring the undirected session's adapter.
-type monitorStopper struct {
-	mon *converge.Monitor
-}
-
-func (s monitorStopper) Observe(_ int, stats SwapIterStats) bool {
-	sr := 0.0
-	if stats.Attempts > 0 {
-		sr = float64(stats.Successes) / float64(stats.Attempts)
-	}
-	return s.mon.Observe(sr, stats.EverSwapped)
-}
-
-// fixedStop summarizes a fixed-budget (or mixed-heuristic) directed run.
-func fixedStop(opt Options, res SwapResult, mixed bool) *obs.StopReport {
-	reason := "scans"
-	if opt.MixUntilSwapped {
-		reason = "budget"
-		if mixed {
-			reason = "mixed"
-		}
-	}
-	return &obs.StopReport{
-		Policy:     "fixed",
-		Reason:     reason,
-		Iterations: len(res.PerIteration),
-	}
-}
-
 // runSwaps drives the mixing phase shared by Generate and Shuffle,
 // reporting whether the stop flag interrupted it.
 func (res *Result) runSwaps(al *ArcList, opt Options) bool {
-	sopt := SwapOptions{Workers: opt.Workers, Seed: rng.Mix64(opt.Seed) + 0xd15eed, Stop: opt.Stop}
+	sopt := SwapOptions{
+		Workers:      opt.Workers,
+		Seed:         rng.Mix64(opt.Seed) + 0xd15eed,
+		TrackSwapped: opt.StopPolicy != nil || opt.MixUntilSwapped,
+		Stop:         opt.Stop,
+	}
+	budget, st := opt.SwapIterations, Stopper(nil)
+	var mon *converge.Monitor
 	switch {
 	case opt.StopPolicy != nil:
 		// nil eval forces the monitor onto the success-rate trace; the
 		// monitor also wants the ever-swapped signal, so tracking is on.
-		mon := converge.NewMonitor(*opt.StopPolicy, nil)
-		sopt.TrackSwapped = true
-		res.Swaps, _ = SwapArcsStopper(al, sopt, mon.Policy().Budget, monitorStopper{mon})
+		mon = converge.NewMonitor(*opt.StopPolicy, nil)
+		budget, st = mon.Policy().Budget, mon.Stopper()
+	case opt.MixUntilSwapped:
+		budget, st = opt.maxSwapIterations(), swap.UntilMixed{}
+	}
+	var fired bool
+	res.Swaps, fired = NewSwapEngine(al, sopt).Run(budget, st)
+	if mon != nil {
 		out := mon.Outcome()
 		res.Stop = &out
-	case opt.MixUntilSwapped:
-		res.Swaps, res.Mixed = SwapArcsUntilMixed(al, sopt, opt.maxSwapIterations())
-		res.Stop = fixedStop(opt, res.Swaps, res.Mixed)
-	default:
-		sopt.Iterations = opt.SwapIterations
-		res.Swaps = SwapArcs(al, sopt)
-		res.Stop = fixedStop(opt, res.Swaps, false)
+	} else {
+		res.Mixed = fired
+		res.Stop = converge.FixedStop(len(res.Swaps.PerIteration), opt.MixUntilSwapped, fired)
 	}
 	return res.Swaps.Stopped
 }
@@ -181,6 +171,9 @@ func validateArcList(al *ArcList) error {
 // opt.Stop trips mid-run it returns par.ErrStopped and al is left
 // valid (in- and out-degrees preserved) but under-mixed.
 func Shuffle(al *ArcList, opt Options) (*Result, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
+	}
 	if err := validateArcList(al); err != nil {
 		return nil, err
 	}

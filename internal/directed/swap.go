@@ -5,6 +5,7 @@ import (
 	"nullgraph/internal/par"
 	"nullgraph/internal/permute"
 	"nullgraph/internal/rng"
+	"nullgraph/internal/swap"
 )
 
 // SwapOptions configures a directed swap run; fields mirror the
@@ -23,21 +24,15 @@ type SwapOptions struct {
 	Stop *par.Stop
 }
 
-// SwapIterStats reports one directed swap iteration.
-type SwapIterStats struct {
-	Attempts    int64
-	Successes   int64
-	EverSwapped float64
-}
-
-// SwapResult summarizes a run.
-type SwapResult struct {
-	PerIteration   []SwapIterStats
-	TotalSuccesses int64
-	// Stopped reports that SwapOptions.Stop ended the run before its
-	// iteration budget.
-	Stopped bool
-}
+// SwapIterStats, SwapResult and Stopper are the undirected chain's
+// types: both chains run under the same loop, swap.Drive. A SwapResult
+// carries Stopped when SwapOptions.Stop ended the run before its
+// iteration budget.
+type (
+	SwapIterStats = swap.IterStats
+	SwapResult    = swap.Result
+	Stopper       = swap.Stopper
+)
 
 // SwapEngine is the directed analog of Algorithm III.1, with the two
 // "certain considerations" the paper defers to [14], [15]:
@@ -272,77 +267,28 @@ func (eng *SwapEngine) Step() SwapIterStats {
 	return stats
 }
 
+// step is Step behind the between-iterations stop check, in the shape
+// swap.Drive calls.
+func (eng *SwapEngine) step() (SwapIterStats, bool) {
+	if eng.opt.Stop.Stopped() {
+		return SwapIterStats{}, true
+	}
+	return eng.Step(), false
+}
+
+// Run drives the engine for up to maxIterations iterations, ending
+// early when st (if non-nil) fires or SwapOptions.Stop trips between
+// iterations. It returns the statistics and whether st ended the run.
+func (eng *SwapEngine) Run(maxIterations int, st Stopper) (SwapResult, bool) {
+	if _, ok := st.(swap.UntilMixed); ok && eng.swapped == nil && len(eng.al.Arcs) > 0 {
+		panic("directed: swap.UntilMixed requires SwapOptions.TrackSwapped")
+	}
+	return swap.Drive(eng.step, eng.opt.OnIteration, maxIterations, st)
+}
+
 // SwapArcs performs opt.Iterations directed double-arc swap iterations
-// on al in place.
+// on al in place: a one-shot wrapper over a single-use SwapEngine.
 func SwapArcs(al *ArcList, opt SwapOptions) SwapResult {
-	eng := NewSwapEngine(al, opt)
-	result := SwapResult{PerIteration: make([]SwapIterStats, 0, opt.Iterations)}
-	for it := 0; it < opt.Iterations; it++ {
-		if opt.Stop.Stopped() {
-			result.Stopped = true
-			return result
-		}
-		stats := eng.Step()
-		result.PerIteration = append(result.PerIteration, stats)
-		result.TotalSuccesses += stats.Successes
-		if opt.OnIteration != nil {
-			opt.OnIteration(it, stats)
-		}
-	}
-	return result
-}
-
-// Stopper receives each iteration's statistics and reports whether the
-// run should stop after that iteration — the directed analog of the
-// undirected swap.Stopper. Implementations must not retain stats.
-type Stopper interface {
-	Observe(iteration int, stats SwapIterStats) bool
-}
-
-// SwapArcsStopper swaps until st requests a stop or maxIterations is
-// reached, reporting whether the stopper fired. A nil stopper degrades
-// to a fixed maxIterations run.
-func SwapArcsStopper(al *ArcList, opt SwapOptions, maxIterations int, st Stopper) (SwapResult, bool) {
-	eng := NewSwapEngine(al, opt)
-	var result SwapResult
-	for it := 0; it < maxIterations; it++ {
-		if opt.Stop.Stopped() {
-			result.Stopped = true
-			return result, false
-		}
-		stats := eng.Step()
-		result.PerIteration = append(result.PerIteration, stats)
-		result.TotalSuccesses += stats.Successes
-		if opt.OnIteration != nil {
-			opt.OnIteration(it, stats)
-		}
-		if st != nil && st.Observe(it, stats) {
-			return result, true
-		}
-	}
-	return result, false
-}
-
-// SwapArcsUntilMixed swaps until every arc has swapped at least once or
-// maxIterations is reached.
-func SwapArcsUntilMixed(al *ArcList, opt SwapOptions, maxIterations int) (SwapResult, bool) {
-	opt.TrackSwapped = true
-	eng := NewSwapEngine(al, opt)
-	var result SwapResult
-	for it := 0; it < maxIterations; it++ {
-		if opt.Stop.Stopped() {
-			result.Stopped = true
-			return result, false
-		}
-		stats := eng.Step()
-		result.PerIteration = append(result.PerIteration, stats)
-		result.TotalSuccesses += stats.Successes
-		if opt.OnIteration != nil {
-			opt.OnIteration(it, stats)
-		}
-		if stats.EverSwapped >= 1.0 {
-			return result, true
-		}
-	}
-	return result, false
+	res, _ := NewSwapEngine(al, opt).Run(opt.Iterations, nil)
+	return res
 }

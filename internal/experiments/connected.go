@@ -88,7 +88,7 @@ func RunConnected(cfg Config) (*ConnectedResult, error) {
 				Connected: true, Iterations: res.Iterations, Workers: cfg.Workers, Seed: seed,
 			})
 			t0 = time.Now()
-			swap.RunEngine(eng)
+			eng.Run(res.Iterations, nil)
 			if d := time.Since(t0); d < bestC {
 				bestC = d
 			}

@@ -152,34 +152,41 @@ func (s *EdgeSet) Len() int {
 //
 //nullgraph:hotpath
 func (s *EdgeSet) TestAndSet(key uint64) bool {
-	present, _, _ := s.testAndSet(key)
+	present, _ := s.testAndSet(key, nil)
 	return present
 }
 
-// testAndSet returns (present, slot, probes): slot is meaningful only
-// when the call inserted (present == false); probes is the number of
-// slots the probe sequence visited (>= 1), the §VIII ablation's
-// probing-cost signal.
+// testAndSet returns (present, probes): probes is the number of slots
+// the probe sequence visited (>= 1), the §VIII ablation's probing-cost
+// signal. A successful insert is charged to w when w is non-nil. The
+// accounting lives here, not in the Writer methods, so that those stay
+// thin enough to inline into the swap sweeps: one call per insert.
 //
 //nullgraph:hotpath
-func (s *EdgeSet) testAndSet(key uint64) (bool, uint64, int) {
+func (s *EdgeSet) testAndSet(key uint64, w *Writer) (bool, int) {
 	stored := key + 1
 	slot := rng.Mix64(key) & s.mask
 	for step := uint64(1); ; step++ {
 		cur := atomic.LoadUint64(&s.slots[slot])
 		if cur == stored {
-			return true, 0, int(step)
+			return true, int(step)
 		}
 		if cur == 0 {
 			if atomic.CompareAndSwapUint64(&s.slots[slot], 0, stored) {
-				return false, slot, int(step)
+				if w != nil {
+					w.inserts++
+					if w.journal != nil {
+						w.journal = append(w.journal, uint32(slot))
+					}
+				}
+				return false, int(step)
 			}
 			// Collision: another thread claimed this slot between the
 			// load and the CAS. Re-examine the same slot — it may now
 			// hold our key.
 			cur = atomic.LoadUint64(&s.slots[slot])
 			if cur == stored {
-				return true, 0, int(step)
+				return true, int(step)
 			}
 		}
 		if step > uint64(len(s.slots)) {
@@ -301,13 +308,7 @@ func (s *EdgeSet) NewCountingWriters(p int) []*Writer {
 //
 //nullgraph:hotpath
 func (w *Writer) TestAndSet(key uint64) bool {
-	present, slot, _ := w.set.testAndSet(key)
-	if !present {
-		w.inserts++
-		if w.journal != nil {
-			w.journal = append(w.journal, uint32(slot))
-		}
-	}
+	present, _ := w.set.testAndSet(key, w)
 	return present
 }
 
@@ -318,14 +319,7 @@ func (w *Writer) TestAndSet(key uint64) bool {
 //
 //nullgraph:hotpath
 func (w *Writer) TestAndSetProbed(key uint64) (present bool, probes int) {
-	present, slot, probes := w.set.testAndSet(key)
-	if !present {
-		w.inserts++
-		if w.journal != nil {
-			w.journal = append(w.journal, uint32(slot))
-		}
-	}
-	return present, probes
+	return w.set.testAndSet(key, w)
 }
 
 // Inserts returns the number of keys this writer inserted since its

@@ -17,16 +17,16 @@
 // Instrumentation is opt-in per run and free when disabled, on two
 // levels:
 //
-//   - Run time: a nil *Recorder disables everything. The swap engine
-//     binds instrumented loop bodies only when a recorder is attached,
-//     so the plain hot path is byte-for-byte the code it was before this
-//     package existed — zero branches, zero loads, zero allocations
-//     added (locked by TestStepDoesNotAllocate and the CI alloc
+//   - Run time: a nil *Recorder disables everything. The swap engine's
+//     loop bodies take the worker's Counters cell as a loop-invariant
+//     value that is nil without a recorder, so the plain path adds one
+//     well-predicted branch per proposal and no counter write, load or
+//     allocation (locked by TestStepDoesNotAllocate and the CI alloc
 //     budget).
 //   - Compile time: building with `-tags nullgraph_noobs` sets the
 //     package constant Enabled to false; every `obs.Enabled && rec !=
-//     nil` guard becomes constant-false and the instrumented bodies are
-//     dead-code-eliminated.
+//     nil` guard becomes constant-false and the instrumented branches
+//     are dead-code-eliminated.
 //
 // When enabled, hot loops touch only their own worker's Counters cell
 // (cache-line padded, no false sharing, no atomics); cross-worker

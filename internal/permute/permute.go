@@ -44,27 +44,17 @@ func FisherYates[T any](r *rng.Source, data []T) {
 	}
 }
 
-// FillTargets fills h[begin:end) — worker w's chunk — with the
+// FillTargetsStop fills h[begin:end) — worker w's chunk — with the
 // deterministic inside-out swap targets for (seed, len(h)): h[i]
 // uniform in [i, len(h)). The per-worker stream depends only on
 // (seed, w), so any execution that splits [0, len(h)) into the same
 // chunks produces the same array. The worker's source lives on the
 // stack; the call does not allocate.
 //
-//nullgraph:hotpath
-func FillTargets(h []int32, seed uint64, w, begin, end int) {
-	var src rng.Block
-	src.Reseed(rng.Mix64(seed) ^ rng.Mix64(uint64(w)+0x51ed270b))
-	n := len(h)
-	for i := begin; i < end; i++ {
-		h[i] = int32(i) + int32(src.Uint64n(uint64(n-i)))
-	}
-}
-
-// FillTargetsStop is FillTargets with a cooperative stop check every
-// few thousand indices. The generated stream is a prefix of what
-// FillTargets writes for the same (seed, w, begin): polling never
-// consumes randomness, so an untripped stop changes nothing.
+// A non-nil stop is polled every 8192 indices and ends the fill early
+// once tripped; a nil stop never stops. What was written is a prefix
+// of the full chunk's stream: polling never consumes randomness, so an
+// untripped stop changes nothing.
 //
 //nullgraph:hotpath
 func FillTargetsStop(h []int32, seed uint64, w, begin, end int, stop *par.Stop) {
@@ -73,7 +63,7 @@ func FillTargetsStop(h []int32, seed uint64, w, begin, end int, stop *par.Stop) 
 	n := len(h)
 	//nullgraph:cancelable
 	for i := begin; i < end; i++ {
-		if (i-begin)&8191 == 0 && stop.Stopped() {
+		if stop != nil && (i-begin)&8191 == 0 && stop.Stopped() {
 			return
 		}
 		h[i] = int32(i) + int32(src.Uint64n(uint64(n-i)))
@@ -85,7 +75,7 @@ func FillTargetsStop(h []int32, seed uint64, w, begin, end int, stop *par.Stop) 
 // for fixed (seed, p).
 func targets(seed uint64, n, p int, h []int32) {
 	par.ForRange(n, p, func(w int, r par.Range) {
-		FillTargets(h[:n], seed, w, r.Begin, r.End)
+		FillTargetsStop(h[:n], seed, w, r.Begin, r.End, nil)
 	})
 }
 

@@ -24,12 +24,12 @@ func TestFillTargetsStopPreTripped(t *testing.T) {
 }
 
 // TestFillTargetsStopUntrippedBitIdentical: an untripped stop must
-// produce exactly the FillTargets stream — polling consumes no
+// produce exactly the nil-stop stream — polling consumes no
 // randomness.
 func TestFillTargetsStopUntrippedBitIdentical(t *testing.T) {
 	const n = 100_000
 	plain := make([]int32, n)
-	FillTargets(plain, 11, 0, 0, n)
+	FillTargetsStop(plain, 11, 0, 0, n, nil)
 	watched := make([]int32, n)
 	FillTargetsStop(watched, 11, 0, 0, n, &par.Stop{})
 	for i := range plain {

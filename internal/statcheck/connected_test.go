@@ -149,7 +149,7 @@ func TestConnectedGateRejectsLeakingSampler(t *testing.T) {
 			copy(el.Edges, start.Edges)
 			eng.SetSeed(SampleSeed(attemptSeed, i))
 			eng.Reset(el)
-			swap.RunEngine(eng)
+			eng.Run(connectedChainIterations, nil)
 			return SignatureOfEdges(el.Edges), nil
 		})
 	if err == nil {

@@ -116,7 +116,7 @@ func spaceChainDraw(t *testing.T, counts map[int64]int64, sp graph.Space) (*Spac
 		copy(el.Edges, start.Edges)
 		eng.SetSeed(SampleSeed(attemptSeed, i))
 		eng.Reset(el)
-		swap.RunEngine(eng)
+		eng.Run(spaceChainIterations, nil)
 		return SignatureOfEdges(el.Edges), nil
 	}
 	return enum, draw, eng.Close

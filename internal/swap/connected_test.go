@@ -95,7 +95,7 @@ func TestConnectedChainDeterministic(t *testing.T) {
 		el := connectedStart(t, degrees)
 		eng := NewEngine(el, Options{Connected: true, Seed: 11, Workers: workers, Iterations: 25})
 		defer eng.Close()
-		RunEngine(eng)
+		eng.Run(eng.opt.Iterations, nil)
 		return append([]graph.Edge(nil), el.Edges...)
 	}
 	a, b := run(1), run(4)
@@ -114,7 +114,7 @@ func TestConnectedChainRejectsDisconnection(t *testing.T) {
 	el := connectedStart(t, []int64{2, 2, 2, 2, 2, 2})
 	eng := NewEngine(el, Options{Connected: true, Seed: 3, Iterations: 60})
 	defer eng.Close()
-	RunEngine(eng)
+	eng.Run(eng.opt.Iterations, nil)
 	if _, count := graph.ConnectedComponents(el, 1); count != 1 {
 		t.Fatalf("connected chain left %d components", count)
 	}
@@ -131,7 +131,7 @@ func TestConnectedReset(t *testing.T) {
 	el := connectedStart(t, degrees)
 	eng := NewEngine(el, Options{Connected: true, Seed: 5, Iterations: 10})
 	defer eng.Close()
-	RunEngine(eng)
+	eng.Run(eng.opt.Iterations, nil)
 	first := *eng.ConnectivityStats()
 	el2 := connectedStart(t, degrees)
 	eng.SetSeed(6)
@@ -139,7 +139,7 @@ func TestConnectedReset(t *testing.T) {
 	if st := eng.ConnectivityStats(); st.Proposals != 0 {
 		t.Fatalf("Reset did not clear connectivity stats: %+v", st)
 	}
-	RunEngine(eng)
+	eng.Run(eng.opt.Iterations, nil)
 	if _, count := graph.ConnectedComponents(el2, 1); count != 1 {
 		t.Fatal("post-Reset chain disconnected the graph")
 	}

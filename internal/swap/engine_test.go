@@ -162,16 +162,19 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestRunEngineHelpers covers the engine driver: a nil stopper runs the
+// full budget, UntilMixed ends a tracked run once every edge swapped,
+// and UntilMixed on an untracked engine panics instead of spinning.
 func TestRunEngineHelpers(t *testing.T) {
-	eng := NewEngine(ring(400), Options{Iterations: 6, Workers: 1, Seed: 2})
+	eng := NewEngine(ring(400), Options{Workers: 1, Seed: 2})
 	defer eng.Close()
-	res := RunEngine(eng)
-	if len(res.PerIteration) != 6 {
-		t.Fatalf("RunEngine ran %d iterations, want 6", len(res.PerIteration))
+	res, fired := eng.Run(6, nil)
+	if len(res.PerIteration) != 6 || fired {
+		t.Fatalf("Run(6, nil) ran %d iterations (fired=%v), want 6", len(res.PerIteration), fired)
 	}
 	tracked := NewEngine(ring(256), Options{Workers: 1, Seed: 3, TrackSwapped: true})
 	defer tracked.Close()
-	if _, mixed := RunEngineUntilMixed(tracked, 200); !mixed {
+	if _, mixed := tracked.Run(200, UntilMixed{}); !mixed {
 		t.Error("256-ring did not mix on a reusable engine")
 	}
 	// Reset restarts tracking: the fraction must drop back to zero.
@@ -184,10 +187,10 @@ func TestRunEngineHelpers(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("RunEngineUntilMixed without TrackSwapped did not panic")
+				t.Error("UntilMixed without TrackSwapped did not panic")
 			}
 		}()
-		RunEngineUntilMixed(untracked, 1)
+		untracked.Run(1, UntilMixed{})
 	}()
 }
 
@@ -220,6 +223,9 @@ func TestStepDoesNotAllocate(t *testing.T) {
 // chain — the instrumented engine's edge stream is bit-identical to the
 // plain engine's for the same seed.
 func TestInstrumentedEngineMatchesPlain(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("observability compiled out (nullgraph_noobs)")
+	}
 	for _, workers := range []int{1, 4} {
 		plain := ring(3000)
 		instrumented := ring(3000)
@@ -255,6 +261,9 @@ func TestInstrumentedEngineMatchesPlain(t *testing.T) {
 // TestInstrumentedReportDeterministic locks the acceptance criterion:
 // same seed and Workers=1 produce identical report counters.
 func TestInstrumentedReportDeterministic(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("observability compiled out (nullgraph_noobs)")
+	}
 	collect := func() *obs.RunReport {
 		rec := obs.NewRecorder()
 		el := ring(2500)
@@ -287,8 +296,11 @@ func TestInstrumentedStepSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEngineResetRestartsReport: a rebound engine reports only its
-// latest run (the Mixer batch pattern).
+// latest run (the session batch pattern).
 func TestEngineResetRestartsReport(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("observability compiled out (nullgraph_noobs)")
+	}
 	rec := obs.NewRecorder()
 	eng := NewEngine(ring(512), Options{Workers: 1, Seed: 6, Recorder: rec})
 	defer eng.Close()

@@ -36,52 +36,62 @@
 //     move's key quadruple is unique — making the per-move ratio the
 //     exact proposal ratio. Multiplicities come from a graph.Multiset,
 //     so this path is serial and map-backed; it is intentionally NOT
-//     //nullgraph:hotpath (the parallel stub kernels below are).
+//     //nullgraph:hotpath (the parallel stub kernels are: the sweep
+//     and register bodies in swap.go, rejectProbed and rewirePair).
 package swap
 
 import (
 	"nullgraph/internal/graph"
 	"nullgraph/internal/hashtable"
+	"nullgraph/internal/obs"
 	"nullgraph/internal/rng"
 )
 
-// acceptSimple is the paper's simple-space acceptance rule: commit iff
-// neither proposed edge is a self-loop and neither is already present
-// (TestAndSet registers the probes, suppressing re-proposals this
-// iteration — see the package doc for the short-circuit ordering).
-//
-//nullgraph:hotpath
-func acceptSimple(wtr *hashtable.Writer, g, h graph.Edge) bool {
-	if g.IsLoop() || h.IsLoop() {
-		return false
-	}
-	if wtr.TestAndSet(g.Key()) {
-		return false
-	}
-	if wtr.TestAndSet(h.Key()) {
-		// g stays registered: harmless for correctness (it only
-		// suppresses re-proposals of g this iteration).
-		return false
-	}
-	return true
-}
+// acceptRule is a stub-labeled cell's acceptance rule, fixed when the
+// engine is built. The parallel sweep branches on it directly: the
+// branch is loop-invariant and well predicted, where a per-proposal
+// indirect call through a policy func value was neither.
+type acceptRule uint8
 
-// acceptLoopyStub is the loopy-stub rule: loops are legal states, so
-// only duplicate creation is rejected. Loop keys pack and probe like
-// any other key, and a proposal that would create a duplicated loop
-// (g and h the same loop) is caught by the second TestAndSet seeing
-// the first's registration.
+const (
+	// acceptSimple is the paper's simple-space rule: commit iff neither
+	// proposed edge is a self-loop and neither is already present
+	// (TestAndSet registers the probes, suppressing re-proposals this
+	// iteration — see the package doc for the short-circuit ordering).
+	acceptSimple acceptRule = iota
+	// acceptLoopyStub is the loopy-stub rule: loops are legal states, so
+	// only duplicate creation is rejected. Loop keys pack and probe like
+	// any other key, and a proposal that would create a duplicated loop
+	// (g and h the same loop) is caught by the second TestAndSet seeing
+	// the first's registration.
+	acceptLoopyStub
+	// acceptAll is the multigraph-stub rule: every proposal commits, so
+	// the cell has no table at all.
+	acceptAll
+)
+
+// rejectProbed is the duplicate test of the table-backed rules with
+// instrumentation: it probes g and then h like the plain path's two
+// TestAndSet calls, files both probe lengths, and attributes a
+// rejection to the first or the partner edge. It stays out of the
+// sweep's plain path so that path keeps TestAndSet inlined.
 //
 //nullgraph:hotpath
-func acceptLoopyStub(wtr *hashtable.Writer, g, h graph.Edge) bool {
-	if wtr.TestAndSet(g.Key()) {
-		return false
+func rejectProbed(wtr *hashtable.Writer, cell *obs.Counters, g, h graph.Edge) bool {
+	present, probes := wtr.TestAndSetProbed(g.Key())
+	cell.RecordProbe(probes)
+	if present {
+		cell.RejectDuplicate++
+		return true
 	}
-	if wtr.TestAndSet(h.Key()) {
-		// As in acceptSimple, g's registration persists harmlessly.
-		return false
+	present, probes = wtr.TestAndSetProbed(h.Key())
+	cell.RecordProbe(probes)
+	if present {
+		// g stays registered, as on the plain path.
+		cell.RejectPartnerDuplicate++
+		return true
 	}
-	return true
+	return false
 }
 
 // sameKeyPair reports multiset equality of the two canonical-key

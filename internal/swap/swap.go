@@ -18,6 +18,15 @@
 // "simplified": a duplicate edge can swap into two fresh edges, and the
 // paper observes a few dozen iterations remove all multi-edges.
 //
+// Every parallel cell (see policy.go) runs this one kernel: a single
+// register body and a single sweep body, whose behaviour is set by
+// three loop-invariant values — the cell's acceptance rule, the
+// worker's observability counters (nil without a recorder) and the
+// cooperative stop flag (nil when the run is uncancelable). One run
+// loop, Drive, serves both this engine and the directed chain; Engine.Run
+// is its only driver, and a Stopper such as UntilMixed ends a run
+// early.
+//
 // Deviation from the paper's pseudocode, documented here once: the
 // self-loop test runs *before* the TestAndSet calls rather than after.
 // Algorithm III.1's short-circuit `TestAndSet(g) = false and
@@ -73,7 +82,8 @@ type Options struct {
 	// vertex-labeled MH cells — and requires a connected simple input
 	// (see connected.Connect for the repair) and a simple-cell Space.
 	Connected bool
-	// Iterations is the number of full permute-and-sweep passes.
+	// Iterations is the number of full permute-and-sweep passes the
+	// one-shot Run performs; Engine.Run takes its budget as an argument.
 	Iterations int
 	// Workers is the parallel width; <= 0 means GOMAXPROCS.
 	Workers int
@@ -103,10 +113,10 @@ type Options struct {
 	// collects chain-health observability: per-iteration rejection
 	// splits, hash-table probe-length histograms, and the ever-swapped
 	// trajectory, aggregated at each iteration's quiescent point into
-	// an obs.RunReport. The cost model is pay-for-use: NewEngine binds
-	// instrumented loop bodies only when a recorder is attached, so a
-	// nil Recorder leaves the hot path — and its zero-allocation
-	// budget — exactly as before.
+	// an obs.RunReport. The cost model is pay-for-use: the loop bodies
+	// record into the worker's counters cell only when a recorder is
+	// attached, so a nil Recorder leaves the chain and the hot path's
+	// zero-allocation budget unchanged.
 	Recorder *obs.Recorder
 	// Stop, when non-nil, is polled cooperatively inside each phase's
 	// loops (every few thousand indices) and between phases; a tripped
@@ -185,9 +195,8 @@ func sweepWorkerSeed(sweepSeed uint64, w int) uint64 {
 // Iterations can be run in any grouping without losing tracking state.
 //
 // Engines with more than one worker own parked goroutines; call Close
-// when done with an engine (Run and RunUntilMixed do it for the engines
-// they create). All methods must be called from one goroutine at a
-// time.
+// when done with an engine (the one-shot Run does it for the engine it
+// creates). All methods must be called from one goroutine at a time.
 type Engine struct {
 	el  *graph.EdgeList
 	opt Options
@@ -202,12 +211,12 @@ type Engine struct {
 	// selects the serial Metropolis–Hastings step (policy.go); useTable
 	// is false for cells whose acceptance rule never consults the edge
 	// table (multigraph-stub accepts every proposal), which skips the
-	// register and clear phases entirely. accept is the stub-cell
-	// acceptance policy the parallel sweep bodies dispatch through; ms
-	// is the live multiplicity view the vertex-labeled step reads.
+	// register and clear phases entirely. rule is the stub-cell
+	// acceptance rule the parallel sweep applies; ms is the live
+	// multiplicity view the vertex-labeled step reads.
 	vertexMH bool
 	useTable bool
-	accept   func(wtr *hashtable.Writer, g, h graph.Edge) bool
+	rule     acceptRule
 	ms       *graph.Multiset
 
 	// connMode selects the serial connectivity-preserving step
@@ -248,24 +257,17 @@ type Engine struct {
 	sweepSeed uint64
 
 	// rec is the attached chain-health recorder (nil when observability
-	// is off, which leaves the hot path untouched).
-	rec *obs.Recorder
+	// is off). probed is set when the parallel bodies feed the workers'
+	// obs.Counters cells: a recorder on a simple cell.
+	rec    *obs.Recorder
+	probed bool
 
-	// Prebound parallel-region bodies: allocated once here so Step
-	// dispatches them without creating closures. With a recorder
-	// attached, registerBody and sweepBody hold the instrumented
-	// variants instead; Step's dispatch is identical either way. The
-	// *Stop variants poll the stop flag inside their loops; step
-	// selects them only when a stop is attached, so the plain bodies —
-	// and their per-iteration cost — are byte-identical to a build
-	// without cancellation.
-	registerBody     func(w int, r par.Range)
-	targetsBody      func(w int, r par.Range)
-	sweepBody        func(w int, r par.Range)
-	clearBody        func(w int, r par.Range)
-	registerStopBody func(w int, r par.Range)
-	targetsStopBody  func(w int, r par.Range)
-	sweepStopBody    func(w int, r par.Range)
+	// The parallel-region bodies as method values, bound once here so
+	// Step dispatches them without allocating.
+	registerBody func(w int, r par.Range)
+	targetsBody  func(w int, r par.Range)
+	sweepBody    func(w int, r par.Range)
+	clearBody    func(w int, r par.Range)
 }
 
 // NewEngine prepares a swap engine over el. The engine mutates el's
@@ -285,12 +287,13 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 	case graph.MultigraphStub:
 		// Every proposal is accepted, so the register/clear phases and
 		// the table itself are dead weight; only permute-and-commit runs.
+		eng.rule = acceptAll
 	case graph.LoopyStub:
 		eng.useTable = true
-		eng.accept = acceptLoopyStub
+		eng.rule = acceptLoopyStub
 	default: // SimpleStub, SimpleVertex: one regime, see graph.Space.
 		eng.useTable = true
-		eng.accept = acceptSimple
+		eng.rule = acceptSimple
 	}
 	if opt.Connected {
 		if opt.Space.AllowsLoops() || opt.Space.AllowsMulti() {
@@ -315,252 +318,21 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 	eng.successes = make([]par.Cell, p)
 	eng.newly = make([]par.Cell, p)
 
-	eng.registerBody = func(w int, r par.Range) {
-		wtr := eng.writers[w]
-		edges := eng.el.Edges
-		for i := r.Begin; i < r.End; i++ {
-			wtr.TestAndSet(edges[i].Key())
-		}
-	}
-	eng.targetsBody = func(w int, r par.Range) {
-		permute.FillTargets(eng.h, eng.permSeed, w, r.Begin, r.End)
-	}
-	eng.sweepBody = func(w int, r par.Range) {
-		var src rng.Block
-		src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
-		edges := eng.el.Edges
-		wtr := eng.writers[w]
-		accept := eng.accept
-		swapped := eng.swapped
-		var local, newly int64
-		for k := r.Begin; k < r.End; k++ {
-			i, j := 2*k, 2*k+1
-			e, f := edges[i], edges[j]
-			g, hh := rewirePair(e, f, src.Bool())
-			if !accept(wtr, g, hh) {
-				continue
-			}
-			edges[i], edges[j] = g, hh
-			if swapped != nil {
-				if swapped[i] == 0 {
-					swapped[i] = 1
-					newly++
-				}
-				if swapped[j] == 0 {
-					swapped[j] = 1
-					newly++
-				}
-			}
-			local++
-		}
-		eng.successes[w].V = local
-		eng.newly[w].V = newly
-	}
-	eng.clearBody = func(_ int, r par.Range) {
-		eng.table.ClearRange(r.Begin, r.End)
-	}
-
-	// Cancelable variants. A worker that observes the tripped flag exits
-	// its chunk early; the join still happens, so the engine's state
-	// stays consistent and step() decides what to do with the partial
-	// phase. Polling reads nothing from the RNG streams.
-	eng.registerStopBody = func(w int, r par.Range) {
-		wtr := eng.writers[w]
-		edges := eng.el.Edges
-		stop := eng.stop
-		//nullgraph:cancelable
-		for i := r.Begin; i < r.End; i++ {
-			if (i-r.Begin)&8191 == 0 && stop.Stopped() {
-				return
-			}
-			wtr.TestAndSet(edges[i].Key())
-		}
-	}
-	eng.targetsStopBody = func(w int, r par.Range) {
-		permute.FillTargetsStop(eng.h, eng.permSeed, w, r.Begin, r.End, eng.stop)
-	}
-	eng.sweepStopBody = func(w int, r par.Range) {
-		var src rng.Block
-		src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
-		edges := eng.el.Edges
-		wtr := eng.writers[w]
-		accept := eng.accept
-		stop := eng.stop
-		swapped := eng.swapped
-		var local, newly int64
-		//nullgraph:cancelable
-		for k := r.Begin; k < r.End; k++ {
-			if (k-r.Begin)&2047 == 0 && stop.Stopped() {
-				break
-			}
-			i, j := 2*k, 2*k+1
-			e, f := edges[i], edges[j]
-			g, hh := rewirePair(e, f, src.Bool())
-			if !accept(wtr, g, hh) {
-				continue
-			}
-			edges[i], edges[j] = g, hh
-			if swapped != nil {
-				if swapped[i] == 0 {
-					swapped[i] = 1
-					newly++
-				}
-				if swapped[j] == 0 {
-					swapped[j] = 1
-					newly++
-				}
-			}
-			local++
-		}
-		eng.successes[w].V = local
-		eng.newly[w].V = newly
-	}
-
-	if opt.Space == graph.MultigraphStub {
-		// Accept-all sweeps: no acceptance state at all, so the bodies
-		// never touch writers (which don't exist for this cell).
-		eng.sweepBody = func(w int, r par.Range) {
-			var src rng.Block
-			src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
-			edges := eng.el.Edges
-			swapped := eng.swapped
-			var local, newly int64
-			for k := r.Begin; k < r.End; k++ {
-				i, j := 2*k, 2*k+1
-				g, hh := rewirePair(edges[i], edges[j], src.Bool())
-				edges[i], edges[j] = g, hh
-				if swapped != nil {
-					if swapped[i] == 0 {
-						swapped[i] = 1
-						newly++
-					}
-					if swapped[j] == 0 {
-						swapped[j] = 1
-						newly++
-					}
-				}
-				local++
-			}
-			eng.successes[w].V = local
-			eng.newly[w].V = newly
-		}
-		eng.sweepStopBody = func(w int, r par.Range) {
-			var src rng.Block
-			src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
-			edges := eng.el.Edges
-			stop := eng.stop
-			swapped := eng.swapped
-			var local, newly int64
-			//nullgraph:cancelable
-			for k := r.Begin; k < r.End; k++ {
-				if (k-r.Begin)&2047 == 0 && stop.Stopped() {
-					break
-				}
-				i, j := 2*k, 2*k+1
-				g, hh := rewirePair(edges[i], edges[j], src.Bool())
-				edges[i], edges[j] = g, hh
-				if swapped != nil {
-					if swapped[i] == 0 {
-						swapped[i] = 1
-						newly++
-					}
-					if swapped[j] == 0 {
-						swapped[j] = 1
-						newly++
-					}
-				}
-				local++
-			}
-			eng.successes[w].V = local
-			eng.newly[w].V = newly
-		}
-	}
+	eng.registerBody = eng.register
+	eng.targetsBody = eng.targets
+	eng.sweepBody = eng.sweep
+	eng.clearBody = eng.clearChunk
 
 	if obs.Enabled && opt.Recorder != nil {
 		eng.rec = opt.Recorder
 		// Probe-level instrumentation exists for the simple cells only;
 		// the other cells still flush per-iteration chain statistics.
-		if opt.Space == graph.SimpleStub || opt.Space == graph.SimpleVertex {
-			eng.bindInstrumentedBodies()
-		}
+		eng.probed = opt.Space == graph.SimpleStub || opt.Space == graph.SimpleVertex
 	}
 	eng.SetStop(opt.Stop)
 
 	eng.bind(el)
 	return eng
-}
-
-// bindInstrumentedBodies replaces the register and sweep bodies with
-// variants that feed the recorder's per-worker cells: probe lengths for
-// every TestAndSet (registration and proposals alike) and the proposal
-// rejection split. They deliberately duplicate the plain loops — a
-// branch-per-proposal "if instrumented" inside the shared hot loop
-// would tax the disabled path this layer promises to leave free.
-// Counters go to the worker's own cache-line-padded cell, so the
-// instrumented sweep adds no cross-worker traffic either.
-func (eng *Engine) bindInstrumentedBodies() {
-	eng.registerBody = func(w int, r par.Range) {
-		wtr := eng.writers[w]
-		cell := eng.rec.Cell(w)
-		edges := eng.el.Edges
-		for i := r.Begin; i < r.End; i++ {
-			_, probes := wtr.TestAndSetProbed(edges[i].Key())
-			cell.RecordProbe(probes)
-		}
-	}
-	eng.sweepBody = func(w int, r par.Range) {
-		var src rng.Block
-		src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
-		edges := eng.el.Edges
-		wtr := eng.writers[w]
-		cell := eng.rec.Cell(w)
-		swapped := eng.swapped
-		var local, newly int64
-		for k := r.Begin; k < r.End; k++ {
-			i, j := 2*k, 2*k+1
-			e, f := edges[i], edges[j]
-			var g, hh graph.Edge
-			if src.Bool() {
-				g = graph.Edge{U: e.U, V: f.U}
-				hh = graph.Edge{U: e.V, V: f.V}
-			} else {
-				g = graph.Edge{U: e.U, V: f.V}
-				hh = graph.Edge{U: e.V, V: f.U}
-			}
-			if g.IsLoop() || hh.IsLoop() {
-				cell.RejectSelfLoop++
-				continue
-			}
-			present, probes := wtr.TestAndSetProbed(g.Key())
-			cell.RecordProbe(probes)
-			if present {
-				cell.RejectDuplicate++
-				continue
-			}
-			present, probes = wtr.TestAndSetProbed(hh.Key())
-			cell.RecordProbe(probes)
-			if present {
-				// g stays registered: harmless for correctness (it only
-				// suppresses re-proposals of g this iteration).
-				cell.RejectPartnerDuplicate++
-				continue
-			}
-			edges[i], edges[j] = g, hh
-			if swapped != nil {
-				if swapped[i] == 0 {
-					swapped[i] = 1
-					newly++
-				}
-				if swapped[j] == 0 {
-					swapped[j] = 1
-					newly++
-				}
-			}
-			local++
-		}
-		eng.successes[w].V = local
-		eng.newly[w].V = newly
-	}
 }
 
 // bind sizes the per-edge-list state (table, journals, target buffer,
@@ -708,9 +480,9 @@ func (eng *Engine) clearTable() {
 // interrupted it. An interrupted iteration keeps whatever partial work
 // committed (every committed swap is individually valid, so the edge
 // list stays degree- and simplicity-preserving), restores the hash
-// table, and reports no statistics. With a recorder attached the loop
-// bodies are the instrumented ones, which do not poll; cancellation
-// latency is then bounded by a phase, not a poll interval.
+// table, and reports no statistics. The loop bodies poll an attached
+// stop flag every few thousand indices, with or without a recorder,
+// so cancellation latency is bounded by a poll interval.
 //
 //nullgraph:hotpath
 func (eng *Engine) step() (IterStats, bool) {
@@ -728,9 +500,6 @@ func (eng *Engine) step() (IterStats, bool) {
 	}
 	pool := eng.pool
 	stop := eng.stop
-	// In-loop polling variants only exist for the plain bodies; the
-	// instrumented ones cancel at phase boundaries.
-	polled := stop != nil && eng.rec == nil
 	if stop.Stopped() {
 		// Nothing touched yet: the table is still clean.
 		return IterStats{}, true
@@ -739,11 +508,7 @@ func (eng *Engine) step() (IterStats, bool) {
 	// Phase 1: register the current edge set (skipped for cells whose
 	// acceptance rule never consults the table).
 	if eng.useTable {
-		if polled {
-			pool.Run(m, eng.registerStopBody)
-		} else {
-			pool.Run(m, eng.registerBody)
-		}
+		pool.Run(m, eng.registerBody)
 		if stop.Stopped() {
 			eng.clearTable()
 			return IterStats{}, true
@@ -753,11 +518,7 @@ func (eng *Engine) step() (IterStats, bool) {
 	// Phase 2: permute. The swapped flags ride along under the same
 	// targets so flag k keeps following edge k.
 	eng.permSeed = permSeedFor(eng.opt.Seed, it)
-	if polled {
-		pool.Run(m, eng.targetsStopBody)
-	} else {
-		pool.Run(m, eng.targetsBody)
-	}
+	pool.Run(m, eng.targetsBody)
 	if stop.Stopped() {
 		eng.clearTable()
 		return IterStats{}, true
@@ -782,11 +543,7 @@ func (eng *Engine) step() (IterStats, bool) {
 		eng.successes[w].V = 0
 		eng.newly[w].V = 0
 	}
-	if polled {
-		pool.Run(pairs, eng.sweepStopBody)
-	} else {
-		pool.Run(pairs, eng.sweepBody)
-	}
+	pool.Run(pairs, eng.sweepBody)
 	for w := range eng.successes {
 		stats.Successes += eng.successes[w].V
 		eng.swappedCount += eng.newly[w].V
@@ -815,35 +572,152 @@ func (eng *Engine) step() (IterStats, bool) {
 	return stats, false
 }
 
+// counters returns worker w's observability cell, or nil when the
+// parallel bodies record nothing.
+func (eng *Engine) counters(w int) *obs.Counters {
+	if obs.Enabled && eng.probed {
+		return eng.rec.Cell(w)
+	}
+	return nil
+}
+
+// register is phase 1 on worker w's chunk: insert every current edge
+// into the table. With a counters cell it files each insert's probe
+// length; with a stop flag it polls every 8192 edges and abandons the
+// chunk once the flag trips.
+//
+//nullgraph:hotpath
+func (eng *Engine) register(w int, r par.Range) {
+	wtr := eng.writers[w]
+	cell := eng.counters(w)
+	stop := eng.stop
+	edges := eng.el.Edges
+	//nullgraph:cancelable
+	for i := r.Begin; i < r.End; i++ {
+		if stop != nil && (i-r.Begin)&8191 == 0 && stop.Stopped() {
+			return
+		}
+		if cell == nil {
+			wtr.TestAndSet(edges[i].Key())
+			continue
+		}
+		_, probes := wtr.TestAndSetProbed(edges[i].Key())
+		cell.RecordProbe(probes)
+	}
+}
+
+// targets is phase 2's target generation on worker w's chunk.
+func (eng *Engine) targets(w int, r par.Range) {
+	permute.FillTargetsStop(eng.h, eng.permSeed, w, r.Begin, r.End, eng.stop)
+}
+
+// sweep is phase 3 on worker w's chunk of pairs: each adjacent pair
+// (E[2k], E[2k+1]) proposes the coin's rewiring, and the engine's
+// acceptance rule (policy.go) decides whether it commits. Three
+// loop-invariant values shape the loop: the rule, the worker's
+// counters cell (nil without a recorder; otherwise every probe length
+// and the rejection cause are filed), and the stop flag (nil when the
+// run is uncancelable; otherwise polled every 2048 pairs). Polling and
+// recording never consume randomness, so every combination commits
+// exactly the same swaps.
+//
+//nullgraph:hotpath
+func (eng *Engine) sweep(w int, r par.Range) {
+	var src rng.Block
+	src.Reseed(sweepWorkerSeed(eng.sweepSeed, w))
+	edges := eng.el.Edges
+	rule := eng.rule
+	var wtr *hashtable.Writer
+	if rule != acceptAll {
+		wtr = eng.writers[w]
+	}
+	cell := eng.counters(w)
+	stop := eng.stop
+	swapped := eng.swapped
+	var local, newly int64
+	//nullgraph:cancelable
+	for k := r.Begin; k < r.End; k++ {
+		if stop != nil && (k-r.Begin)&2047 == 0 && stop.Stopped() {
+			break
+		}
+		i, j := 2*k, 2*k+1
+		g, h := rewirePair(edges[i], edges[j], src.Bool())
+		if rule == acceptSimple && (g.IsLoop() || h.IsLoop()) {
+			if cell != nil {
+				cell.RejectSelfLoop++
+			}
+			continue
+		}
+		if rule != acceptAll {
+			if cell == nil {
+				// A rejected h leaves g registered: harmless for
+				// correctness (it only suppresses re-proposals of g this
+				// iteration).
+				if wtr.TestAndSet(g.Key()) || wtr.TestAndSet(h.Key()) {
+					continue
+				}
+			} else if rejectProbed(wtr, cell, g, h) {
+				continue
+			}
+		}
+		edges[i], edges[j] = g, h
+		if swapped != nil {
+			if swapped[i] == 0 {
+				swapped[i] = 1
+				newly++
+			}
+			if swapped[j] == 0 {
+				swapped[j] = 1
+				newly++
+			}
+		}
+		local++
+	}
+	eng.successes[w].V = local
+	eng.newly[w].V = newly
+}
+
+// clearChunk is phase 4 on worker w's share of the table's slots.
+func (eng *Engine) clearChunk(_ int, r par.Range) {
+	eng.table.ClearRange(r.Begin, r.End)
+}
+
 // Stopper decides, after each completed iteration, whether the chain
 // has run long enough. Observe is called with the 0-based iteration
 // index and that iteration's statistics; returning true ends the run.
 // The swap layer knows nothing about convergence policy — adaptive
-// monitors (internal/converge) plug in here via an adapter, keeping
-// this package free of any dependency on diagnostics.
+// monitors (internal/converge) plug in here, keeping this package free
+// of any dependency on diagnostics.
 type Stopper interface {
 	Observe(it int, stats IterStats) bool
 }
 
-// runLoop drives eng for the given iteration budget, optionally
-// stopping when fully mixed or when a Stopper (if non-nil) fires. The
-// boolean reports whether the mixed/stopper condition ended the run
-// before the budget.
-func runLoop(eng *Engine, iterations int, stopWhenMixed bool, st Stopper) (Result, bool) {
-	result := Result{PerIteration: make([]IterStats, 0, iterations)}
-	for it := 0; it < iterations; it++ {
-		stats, stopped := eng.step()
+// UntilMixed is the paper's empirical mixing signal as a Stopper: it
+// ends the run once every edge has been part of a successful swap. The
+// engine must track swaps (Options.TrackSwapped); Run panics otherwise.
+type UntilMixed struct{}
+
+// Observe reports whether every edge has swapped at least once.
+func (UntilMixed) Observe(_ int, stats IterStats) bool { return stats.EverSwapped >= 1.0 }
+
+// Drive is the run loop of every swap chain. It calls step (one
+// iteration, reporting whether the cooperative stop flag interrupted
+// it) up to maxIterations times, hands each completed iteration to
+// onIteration and then st (either may be nil), and ends early when the
+// stop flag trips (Result.Stopped) or st fires. The boolean reports
+// whether st ended the run.
+func Drive(step func() (IterStats, bool), onIteration func(int, IterStats), maxIterations int, st Stopper) (Result, bool) {
+	result := Result{PerIteration: make([]IterStats, 0, maxIterations)}
+	for it := 0; it < maxIterations; it++ {
+		stats, stopped := step()
 		if stopped {
 			result.Stopped = true
 			return result, false
 		}
 		result.PerIteration = append(result.PerIteration, stats)
 		result.TotalSuccesses += stats.Successes
-		if eng.opt.OnIteration != nil {
-			eng.opt.OnIteration(it, stats)
-		}
-		if stopWhenMixed && stats.EverSwapped >= 1.0 {
-			return result, true
+		if onIteration != nil {
+			onIteration(it, stats)
 		}
 		if st != nil && st.Observe(it, stats) {
 			return result, true
@@ -852,46 +726,23 @@ func runLoop(eng *Engine, iterations int, stopWhenMixed bool, st Stopper) (Resul
 	return result, false
 }
 
+// Run drives the engine for up to maxIterations iterations, ending
+// early when st (if non-nil) fires or the stop flag trips. It returns
+// the statistics and whether st ended the run. The engine keeps all of
+// its buffers, so Run may follow a Reset.
+func (eng *Engine) Run(maxIterations int, st Stopper) (Result, bool) {
+	if _, ok := st.(UntilMixed); ok && eng.swapped == nil && len(eng.el.Edges) > 0 {
+		panic("swap: UntilMixed requires Options.TrackSwapped")
+	}
+	return Drive(eng.step, eng.opt.OnIteration, maxIterations, st)
+}
+
 // Run performs opt.Iterations parallel double-edge swap iterations on el
-// in place and returns per-iteration statistics.
+// in place and returns per-iteration statistics: a one-shot wrapper
+// over a single-use Engine.
 func Run(el *graph.EdgeList, opt Options) Result {
 	eng := NewEngine(el, opt)
 	defer eng.Close()
-	result, _ := runLoop(eng, opt.Iterations, false, nil)
+	result, _ := eng.Run(opt.Iterations, nil)
 	return result
-}
-
-// RunUntilMixed swaps until every edge has been part of a successful
-// swap at least once (the paper's empirical mixing signal), or until
-// maxIterations. Tracking is forced on. It returns the statistics and
-// whether full mixing was reached.
-func RunUntilMixed(el *graph.EdgeList, opt Options, maxIterations int) (Result, bool) {
-	opt.TrackSwapped = true
-	eng := NewEngine(el, opt)
-	defer eng.Close()
-	return runLoop(eng, maxIterations, true, nil)
-}
-
-// RunEngine performs eng.opt.Iterations iterations on an existing
-// (possibly Reset) engine, reusing all of its buffers.
-func RunEngine(eng *Engine) Result {
-	result, _ := runLoop(eng, eng.opt.Iterations, false, nil)
-	return result
-}
-
-// RunEngineUntilMixed is RunUntilMixed on an existing engine, which
-// must have been constructed with TrackSwapped set.
-func RunEngineUntilMixed(eng *Engine, maxIterations int) (Result, bool) {
-	if eng.swapped == nil && len(eng.el.Edges) > 0 {
-		panic("swap: RunEngineUntilMixed requires TrackSwapped")
-	}
-	return runLoop(eng, maxIterations, true, nil)
-}
-
-// RunEngineStopper drives eng until the stopper fires or maxIterations
-// complete, whichever is first. It returns the statistics and whether
-// the stopper ended the run (false means the budget ran out or the
-// cooperative stop flag canceled the run).
-func RunEngineStopper(eng *Engine, maxIterations int, st Stopper) (Result, bool) {
-	return runLoop(eng, maxIterations, false, st)
 }

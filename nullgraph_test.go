@@ -281,3 +281,31 @@ func TestDeterminism(t *testing.T) {
 		t.Error("same seed produced different graphs")
 	}
 }
+
+// TestNegativeSwapIterationsRejected: a negative swap budget is an
+// option error at every entry point, not a panic deep in the chain.
+func TestNegativeSwapIterationsRejected(t *testing.T) {
+	dist, err := PowerLawDistribution(200, 1, 20, 2.2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joint := JointFromDegrees([]int64{1, 1, 1}, []int64{1, 1, 1})
+	opt := Options{Seed: 1, SwapIterations: -1, Workers: 1}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Generate", func() error { _, err := Generate(dist, opt); return err }},
+		{"Shuffle", func() error {
+			_, err := Shuffle(NewGraph([]Edge{{U: 0, V: 1}, {U: 2, V: 3}}, 4), opt)
+			return err
+		}},
+		{"GenerateDirected", func() error { _, err := GenerateDirected(joint, opt); return err }},
+		{"ShuffleDirected", func() error { _, err := ShuffleDirected(digraphCycle(8), opt); return err }},
+	} {
+		err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), "negative SwapIterations") {
+			t.Errorf("%s: err = %v, want a negative SwapIterations error", tc.name, err)
+		}
+	}
+}
