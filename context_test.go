@@ -227,6 +227,59 @@ func TestDirectedOptionParity(t *testing.T) {
 	if _, err := ShuffleDirected(nil, Options{Seed: 1, SwapIterations: 2}); err == nil {
 		t.Error("ShuffleDirected accepted a nil digraph")
 	}
+	for _, opt := range []Options{
+		{Seed: 1, SwapIterations: 2, Connected: true},
+		{Seed: 1, SwapIterations: 2, Space: SpaceLoopyStub},
+	} {
+		if _, err := GenerateDirected(dist, opt); err == nil {
+			t.Errorf("GenerateDirected accepted Connected=%v Space=%v", opt.Connected, opt.Space)
+		}
+		if _, err := ShuffleDirected(g, opt); err == nil {
+			t.Errorf("ShuffleDirected accepted Connected=%v Space=%v", opt.Connected, opt.Space)
+		}
+	}
+}
+
+// TestShuffleDirectedContextMidRunCancel mirrors
+// TestShuffleContextMidRunCancel on the directed path: cancellation
+// during a long mix returns promptly with every in- and out-degree
+// preserved and the digraph still simple.
+func TestShuffleDirectedContextMidRunCancel(t *testing.T) {
+	const n = 20000
+	arcs := make([]Arc, n)
+	for i := range arcs {
+		arcs[i] = Arc{From: int32(i), To: int32((i + 1) % n)}
+	}
+	g := NewDigraph(arcs, n)
+	wantOut, wantIn := g.Degrees(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, err := ShuffleDirectedContext(ctx, g, Options{Seed: 3, SwapIterations: 1_000_000})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got err %v, want context.Canceled", err)
+	}
+	// A million iterations would run for hours; the generous bound keeps
+	// the promptness check meaningful without flaking under load.
+	if elapsed > 30*time.Second {
+		t.Fatalf("cancel took %v; latency is not bounded", elapsed)
+	}
+	if len(g.Arcs) != n {
+		t.Fatalf("arc count changed: %d", len(g.Arcs))
+	}
+	out, in := g.Degrees(1)
+	for v := range wantOut {
+		if out[v] != wantOut[v] || in[v] != wantIn[v] {
+			t.Fatalf("canceled ShuffleDirected broke the joint degrees at vertex %d", v)
+		}
+	}
+	if rep := g.CheckSimplicity(); !rep.IsSimple() {
+		t.Fatalf("canceled ShuffleDirected left a non-simple digraph: %+v", rep)
+	}
 }
 
 // TestShuffleDirectedContextPreCanceled mirrors the undirected

@@ -55,10 +55,17 @@ type DirectedResult struct {
 
 // directedOptions maps the shared Options onto the directed pipeline,
 // rejecting fields the directed chain does not implement rather than
-// silently dropping them: RefineProbabilities targets the undirected
-// class matrix, and CollectReport's recorder instruments only the
-// undirected engines.
+// silently dropping them: it samples simple digraphs only (no other
+// Space) with no connectivity constraint, RefineProbabilities targets
+// the undirected class matrix, and CollectReport's recorder instruments
+// only the undirected engines.
 func directedOptions(opt Options) (directed.Options, error) {
+	if opt.Space != SpaceSimple && opt.Space != SpaceSimpleVertex {
+		return directed.Options{}, fmt.Errorf("nullgraph: directed generation samples simple digraphs only, not Space %v", opt.Space)
+	}
+	if opt.Connected {
+		return directed.Options{}, fmt.Errorf("nullgraph: Connected is not supported for directed generation")
+	}
 	if opt.RefineProbabilities > 0 {
 		return directed.Options{}, fmt.Errorf("nullgraph: RefineProbabilities is not supported for directed generation")
 	}
@@ -77,17 +84,19 @@ func directedOptions(opt Options) (directed.Options, error) {
 // GenerateDirected draws a uniformly random simple digraph matching the
 // joint (out, in) distribution in expectation: directed probability
 // heuristic → directed edge-skipping → double-arc swaps with triangle
-// reversals. Options the directed chain does not implement
-// (RefineProbabilities, CollectReport) are rejected with an error.
+// reversals. Options the directed chain does not implement (a
+// non-simple Space, Connected, RefineProbabilities, CollectReport) are
+// rejected with an error.
 // Equivalent to GenerateDirectedContext with a background context.
 func GenerateDirected(dist *JointDistribution, opt Options) (*DirectedResult, error) {
 	return GenerateDirectedContext(context.Background(), dist, opt)
 }
 
 // GenerateDirectedContext is GenerateDirected honoring ctx:
-// cancellation is cooperative (between phases and swap iterations),
-// the partial digraph is abandoned, and ctx.Err() is returned. A ctx
-// already canceled on entry returns before any work.
+// cancellation is cooperative (between phases, and inside the swap
+// phase every few thousand arcs), the partial digraph is abandoned,
+// and ctx.Err() is returned. A ctx already canceled on entry returns
+// before any work.
 func GenerateDirectedContext(ctx context.Context, dist *JointDistribution, opt Options) (*DirectedResult, error) {
 	if err := ctxEntryErr(ctx); err != nil {
 		return nil, err
@@ -109,8 +118,8 @@ func GenerateDirectedContext(ctx context.Context, dist *JointDistribution, opt O
 // ShuffleDirected mixes an existing digraph in place, preserving every
 // vertex's in- and out-degree. The digraph must be non-nil with
 // in-range endpoints — the same validation as the undirected Shuffle —
-// and unsupported Options (RefineProbabilities, CollectReport) are
-// rejected with an error. Equivalent to ShuffleDirectedContext with a
+// and unsupported Options (a non-simple Space, Connected,
+// RefineProbabilities, CollectReport) are rejected with an error. Equivalent to ShuffleDirectedContext with a
 // background context.
 func ShuffleDirected(g *Digraph, opt Options) (*DirectedResult, error) {
 	return ShuffleDirectedContext(context.Background(), g, opt)

@@ -7,14 +7,17 @@
 //   - JointDistribution — the {(out, in), count} analog of {D, N};
 //   - Kleitman-Wang realization of a joint degree sequence;
 //   - parallel double-arc swaps preserving every vertex's in- AND
-//     out-degree;
+//     out-degree, run as the directed acceptance rule of the one swap
+//     engine (swap.NewDirectedEngine) over the arcs viewed in place;
 //   - directed Chung-Lu baselines and the directed version of the
 //     probability heuristic + edge-skipping pipeline.
 //
 // The "certain considerations": swap proposals have a single legal
 // pairing ((u→v),(x→y) ⇒ (u→y),(x→v) — the other exchange would move
-// degree between in and out sides), the hash-table key is the ordered
-// pair, and the diagonal class spaces exclude exactly the self-pairs.
+// degree between in and out sides) proposed behind a lazy coin,
+// directed triangles are reversed to connect the space, the hash-table
+// key is the ordered pair, and the diagonal class spaces exclude
+// exactly the self-pairs.
 package directed
 
 import (

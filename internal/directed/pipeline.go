@@ -27,9 +27,9 @@ type Options struct {
 	// SwapIterations; the outcome lands in Result.Stop.
 	StopPolicy *converge.Policy
 	// Stop, when non-nil, cancels cooperatively: between pipeline phases
-	// and between swap iterations. A tripped flag makes Generate and
-	// Shuffle return par.ErrStopped; Shuffle's arc list stays valid
-	// (joint degrees preserved) but under-mixed.
+	// and inside the swap phase every few thousand arcs. A tripped flag
+	// makes Generate and Shuffle return par.ErrStopped; Shuffle's arc
+	// list stays valid (joint degrees preserved) but under-mixed.
 	Stop *par.Stop
 }
 

@@ -4,8 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
+
+	"nullgraph/internal/par"
 )
 
 // TestGoldenSerialSwapArcs pins the exact Workers=1 output of the
@@ -112,5 +116,41 @@ func TestSwapArcsLazyCoinStreamsIndependent(t *testing.T) {
 	}
 	if len(states) < 2 {
 		t.Fatalf("10 distinct seeds produced %d distinct states", len(states))
+	}
+}
+
+// TestUntrippedStopBitIdentical: the directed chain polls an attached
+// stop flag inside every phase, and polling never consumes randomness,
+// so a never-tripped Stop must leave the Workers=1 output bit-identical.
+// The arc count spans several poll intervals of every phase.
+func TestUntrippedStopBitIdentical(t *testing.T) {
+	plain := cycleDigraph(30000)
+	SwapArcs(plain, SwapOptions{Iterations: 3, Workers: 1, Seed: 7, TrackSwapped: true})
+	polled := cycleDigraph(30000)
+	SwapArcs(polled, SwapOptions{Iterations: 3, Workers: 1, Seed: 7, TrackSwapped: true, Stop: &par.Stop{}})
+	for i := range plain.Arcs {
+		if plain.Arcs[i] != polled.Arcs[i] {
+			t.Fatalf("arc %d: %v with an untripped Stop, %v without", i, polled.Arcs[i], plain.Arcs[i])
+		}
+	}
+}
+
+// TestSwapEngineOwnsNoGoroutines: callers Step a SwapEngine without
+// ever closing it, so a parallel engine must leave no goroutines behind.
+// Per-call workers may still be exiting when Step returns, so the count
+// gets a moment to settle; a parked pool never would.
+func TestSwapEngineOwnsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	al := cycleDigraph(4096)
+	eng := NewSwapEngine(al, SwapOptions{Workers: 4, Seed: 3})
+	for i := 0; i < 3; i++ {
+		eng.Step()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before NewSwapEngine(...).Step(), %d after", before, after)
 	}
 }

@@ -13,31 +13,22 @@
 // every insert is the one point of cross-worker contention the slot
 // array's per-key CAS design otherwise avoids, so it was removed. Hot
 // loops insert through per-worker Writer handles instead, which count
-// (and optionally journal) their own inserts with no shared state;
-// CheckLoad sums the p counters at a quiescent point and enforces the
-// load contract deterministically.
+// their own inserts with no shared state; CheckLoad sums the p counters
+// at a quiescent point and enforces the load contract deterministically.
 //
-// # Clearing strategies
+// # Clearing
 //
-// Two clears are offered, selected empirically (ClearWriters picks per
-// call):
+// The table is cleared with a full sweep (Clear/ClearRange): a parallel
+// memset of the slot array — O(slots), but the stores stream
+// sequentially at memory bandwidth (~0.5 ns/slot measured). A journaled
+// clear that zeroes only the slots claimed since the last clear is
+// O(inserted keys), but every store is a scattered cache miss (~18
+// ns/slot measured), so it wins only below ~3% occupancy. The swap
+// engine's register phase alone fills over 8% of its table (m keys in
+// fewer than 12m slots), firmly in sweep territory, and nothing else
+// clears a table per generation, so only the sweep is implemented.
 //
-//   - Full sweep (Clear/ClearRange): a parallel memset of the slot
-//     array — O(slots), but the stores stream sequentially at memory
-//     bandwidth (~0.5 ns/slot measured).
-//   - Journaled clear via journaling Writers: each successful insert
-//     records its claimed slot (exactly one journal entry per occupied
-//     slot, because each slot is claimed by exactly one winning CAS);
-//     ClearTouched zeros only those — O(inserted keys), but every store
-//     is a scattered cache miss (~18 ns/slot measured).
-//
-// The crossover sits near 1.5-3% occupancy (sweepCrossover). The swap
-// engines run at 12-25% occupancy (m-2m inserts into a >= 4m-slot
-// table), firmly in full-sweep territory, so they use counting-only
-// Writers; the journaled clear wins for sparse workloads — many small
-// generations against one large table.
-//
-// A third design — stamping every slot with an epoch so Clear is a
+// A second design — stamping every slot with an epoch so Clear is a
 // single epoch bump — was rejected: with full-width 64-bit keys the slot
 // value and its epoch cannot be updated by one CAS, and every published
 // two-word protocol admits a race in which a leftover value from an
@@ -46,13 +37,12 @@
 // half-initialized slot). Packing an epoch into the key word would
 // require narrowing the key (fingerprinting), which trades exactness for
 // speed — unacceptable for an MCMC filter whose false positives bias the
-// stationary distribution. See DESIGN.md §"Versioned edge table" for
-// the full analysis and the clear-strategy benchmark.
+// stationary distribution. See DESIGN.md §6.1 for the full analysis
+// and the clear-strategy measurements.
 package hashtable
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"nullgraph/internal/par"
@@ -69,14 +59,6 @@ const (
 	// increments, which visit every slot of a power-of-two table).
 	Quadratic
 )
-
-// sweepCrossover is the occupancy denominator below which the journaled
-// clear beats the full sweep: scattered journal stores cost ~32x a
-// streamed sweep store (measured: ~18 ns vs ~0.55 ns on commodity
-// hardware; see BenchmarkClearFullSweep / BenchmarkClearJournaled), so
-// clearing by journal pays off only when fewer than slots/32 slots are
-// occupied.
-const sweepCrossover = 32
 
 // EdgeSet is a fixed-capacity concurrent set of uint64 keys. Safe for
 // concurrent TestAndSet/Contains; the clear methods must not race with
@@ -175,9 +157,6 @@ func (s *EdgeSet) testAndSet(key uint64, w *Writer) (bool, int) {
 			if atomic.CompareAndSwapUint64(&s.slots[slot], 0, stored) {
 				if w != nil {
 					w.inserts++
-					if w.journal != nil {
-						w.journal = append(w.journal, uint32(slot))
-					}
 				}
 				return false, int(step)
 			}
@@ -250,46 +229,20 @@ func (s *EdgeSet) String() string {
 }
 
 // Writer is a single-worker insertion handle providing per-worker
-// (contention-free) insert accounting and, in journaling mode, the slot
-// journal that enables O(inserted) clearing. A Writer must be used by
-// one goroutine at a time; distinct Writers on the same EdgeSet may
-// insert concurrently. The struct is padded so adjacent Writers in a
-// slice don't share cache lines.
+// (contention-free) insert accounting. A Writer must be used by one
+// goroutine at a time; distinct Writers on the same EdgeSet may insert
+// concurrently. The struct is padded so adjacent Writers in a slice
+// don't share cache lines.
 //
 //nullgraph:padded
 type Writer struct {
 	set     *EdgeSet
 	inserts int
-	journal []uint32 // slot of every insert since the last reset; nil in counting mode
-	_       [88]byte // pad the 40 data bytes to 128 so neighbouring Writers never share a cache line
+	_       [112]byte // pad the 16 data bytes to 128 so neighbouring Writers never share a cache line
 }
 
-// NewWriters returns p independent journaling handles for s, each with
-// journal capacity perWriterCap (journals grow beyond it if needed, at
-// the cost of an allocation). It panics if the slot count exceeds
-// uint32 range — at 4 billion slots (32 GiB) the journal encoding would
-// need widening.
-func (s *EdgeSet) NewWriters(p, perWriterCap int) []*Writer {
-	if uint64(len(s.slots)) > math.MaxUint32 {
-		panic("hashtable: table too large for uint32 slot journals")
-	}
-	if p < 1 {
-		p = 1
-	}
-	if perWriterCap < 1 {
-		perWriterCap = 1
-	}
-	ws := make([]*Writer, p)
-	for i := range ws {
-		ws[i] = &Writer{set: s, journal: make([]uint32, 0, perWriterCap)}
-	}
-	return ws
-}
-
-// NewCountingWriters returns p insertion handles that count but do not
-// journal — the right mode when the caller will clear with a full sweep
-// anyway (occupancy above ~1/32; see the package doc), keeping the
-// per-insert cost to one local counter increment.
+// NewCountingWriters returns p insertion handles, each counting its own
+// inserts, so the per-insert cost is one local counter increment.
 func (s *EdgeSet) NewCountingWriters(p int) []*Writer {
 	if p < 1 {
 		p = 1
@@ -302,9 +255,8 @@ func (s *EdgeSet) NewCountingWriters(p int) []*Writer {
 }
 
 // TestAndSet is EdgeSet.TestAndSet through this writer's accounting: a
-// successful insert bumps the per-writer count and, in journaling mode,
-// records the claimed slot. No shared state is touched beyond the slot
-// CAS itself.
+// successful insert bumps the per-writer count. No shared state is
+// touched beyond the slot CAS itself.
 //
 //nullgraph:hotpath
 func (w *Writer) TestAndSet(key uint64) bool {
@@ -326,35 +278,9 @@ func (w *Writer) TestAndSetProbed(key uint64) (present bool, probes int) {
 // last reset.
 func (w *Writer) Inserts() int { return w.inserts }
 
-// Journaling reports whether this writer records slot journals.
-func (w *Writer) Journaling() bool { return w.journal != nil }
-
-// ClearTouched zeros every slot this writer inserted and resets the
-// writer; it panics on counting-only writers (they cannot know their
-// slots — sweep the table instead). Each occupied slot appears in
-// exactly one journal (the one whose CAS claimed it), so concurrent
-// ClearTouched calls on distinct writers touch disjoint slots; plain
-// stores suffice because clears run at quiescent points (no concurrent
-// readers/writers, ordered by the caller's join).
-func (w *Writer) ClearTouched() {
-	if w.journal == nil && w.inserts > 0 {
-		panic("hashtable: ClearTouched on counting-only Writer")
-	}
-	slots := w.set.slots
-	for _, idx := range w.journal {
-		slots[idx] = 0
-	}
-	w.Reset()
-}
-
-// Reset zeroes the writer's insert count and journal without touching
-// the table — for use after an external sweep (Clear/ClearRange).
-func (w *Writer) Reset() {
-	w.inserts = 0
-	if w.journal != nil {
-		w.journal = w.journal[:0]
-	}
-}
+// Reset zeroes the writer's insert count without touching the table —
+// for use after a sweep (Clear/ClearRange).
+func (w *Writer) Reset() { w.inserts = 0 }
 
 // CheckLoad panics if the writers' counters record more inserts than
 // the table's load contract allows. Called at a quiescent point (e.g.
@@ -370,27 +296,10 @@ func (s *EdgeSet) CheckLoad(ws []*Writer) {
 	}
 }
 
-// ClearWriters checks the load contract, then empties the table with
-// whichever strategy is cheaper for this generation's occupancy: the
-// journaled per-writer clear when every writer journals and fewer than
-// NumSlots()/sweepCrossover slots are occupied, otherwise a full
-// parallel sweep. All writers are reset either way.
+// ClearWriters checks the load contract, empties the table with a full
+// parallel sweep, and resets every writer.
 func (s *EdgeSet) ClearWriters(ws []*Writer, p int) {
 	s.CheckLoad(ws)
-	total := 0
-	journaling := true
-	for _, w := range ws {
-		total += w.Inserts()
-		journaling = journaling && w.Journaling()
-	}
-	if journaling && total*sweepCrossover < len(s.slots) {
-		par.ForRange(len(ws), p, func(_ int, r par.Range) {
-			for i := r.Begin; i < r.End; i++ {
-				ws[i].ClearTouched()
-			}
-		})
-		return
-	}
 	s.Clear(p)
 	for _, w := range ws {
 		w.Reset()

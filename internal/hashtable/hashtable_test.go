@@ -246,7 +246,7 @@ func TestWriterOverCapacityPanics(t *testing.T) {
 	// deterministically at the quiescent check, long before the table
 	// is physically full.
 	s := New(4, Linear)
-	ws := s.NewWriters(1, 8)
+	ws := s.NewCountingWriters(1)
 	for k := uint64(0); k <= uint64(s.Capacity()); k++ {
 		ws[0].TestAndSet(k * 7919)
 	}
@@ -261,7 +261,7 @@ func TestWriterOverCapacityPanics(t *testing.T) {
 func TestWriterSemanticsMatchMap(t *testing.T) {
 	for _, probing := range []Probing{Linear, Quadratic} {
 		s := New(512, probing)
-		ws := s.NewWriters(1, 512)
+		ws := s.NewCountingWriters(1)
 		w := ws[0]
 		ref := map[uint64]bool{}
 		r := rng.New(41)
@@ -281,61 +281,16 @@ func TestWriterSemanticsMatchMap(t *testing.T) {
 	}
 }
 
-func TestJournaledClearGenerations(t *testing.T) {
-	// Many insert/clear generations on one table: after every
-	// ClearJournaled the table must be empty (Contains false for all
-	// prior keys) and behave exactly like a fresh table — the analog of
-	// epoch-rollover safety for the journal design, where nothing ages
-	// or wraps no matter how many generations run.
-	for _, probing := range []Probing{Linear, Quadratic} {
-		// Table far larger than the per-generation key count, so the
-		// adaptive ClearWriters takes the journaled (scattered) path.
-		s := New(4096, probing)
-		ws := s.NewWriters(4, 64)
-		r := rng.New(7)
-		for gen := 0; gen < 200; gen++ {
-			ref := map[uint64]bool{}
-			for i := 0; i < 200; i++ {
-				key := r.Uint64n(180)
-				w := ws[i%len(ws)]
-				if got := w.TestAndSet(key); got != ref[key] {
-					t.Fatalf("probing=%v gen %d: TestAndSet(%d) = %v, want %v", probing, gen, key, got, ref[key])
-				}
-				ref[key] = true
-			}
-			for key := range ref {
-				if !s.Contains(key) {
-					t.Fatalf("probing=%v gen %d: lost key %d", probing, gen, key)
-				}
-			}
-			s.ClearWriters(ws, 2)
-			if got := s.Len(); got != 0 {
-				t.Fatalf("probing=%v gen %d: Len after clear = %d", probing, gen, got)
-			}
-			for key := range ref {
-				if s.Contains(key) {
-					t.Fatalf("probing=%v gen %d: key %d survived clear", probing, gen, key)
-				}
-			}
-			for _, w := range ws {
-				if w.Inserts() != 0 {
-					t.Fatalf("probing=%v gen %d: journal not reset", probing, gen)
-				}
-			}
-		}
-	}
-}
-
 func TestWriterConcurrentStressAcrossGenerations(t *testing.T) {
 	// -race stress: concurrent writers race on overlapping key sets,
-	// then the table is journal-cleared and the next generation starts.
-	// For every key of every generation exactly one writer may win the
-	// insert.
+	// then the table is swept and the next generation starts. For every
+	// key of every generation exactly one writer may win the insert, and
+	// the writers' counts must add up to the key count.
 	const workers = 8
 	const keys = 1500
 	const generations = 6
-	s := New(keys*40, Quadratic) // sparse: clears go through the journals
-	ws := s.NewWriters(workers, keys)
+	s := New(keys, Quadratic)
+	ws := s.NewCountingWriters(workers)
 	for gen := 0; gen < generations; gen++ {
 		inserts := make([]int64, keys)
 		var wg sync.WaitGroup
@@ -359,6 +314,13 @@ func TestWriterConcurrentStressAcrossGenerations(t *testing.T) {
 				t.Fatalf("gen %d: key %d inserted %d times, want exactly 1", gen, k, c)
 			}
 		}
+		counted := 0
+		for _, w := range ws {
+			counted += w.Inserts()
+		}
+		if counted != keys {
+			t.Fatalf("gen %d: writers counted %d inserts, want %d", gen, counted, keys)
+		}
 		s.ClearWriters(ws, workers)
 		if got := s.Len(); got != 0 {
 			t.Fatalf("gen %d: Len after clear = %d", gen, got)
@@ -366,31 +328,9 @@ func TestWriterConcurrentStressAcrossGenerations(t *testing.T) {
 	}
 }
 
-func TestJournaledAndFullClearInterop(t *testing.T) {
-	// A full-sweep Clear leaves stale entries in writer journals (slots
-	// already zeroed); a subsequent ClearTouched must be harmless, and
-	// the journals must be reset before the next generation to keep the
-	// load accounting meaningful.
-	s := New(64, Linear)
-	ws := s.NewWriters(2, 32)
-	ws[0].TestAndSet(1)
-	ws[1].TestAndSet(2)
-	s.Clear(1)
-	for _, w := range ws {
-		w.ClearTouched() // zeroes already-zero slots; resets journal
-	}
-	if s.Len() != 0 {
-		t.Errorf("Len = %d after clears", s.Len())
-	}
-	if ws[0].TestAndSet(1) || ws[1].TestAndSet(2) {
-		t.Error("keys present after both clear styles")
-	}
-}
-
 func TestCountingWritersSweepClear(t *testing.T) {
-	// Counting-only writers: accounting without journals; ClearWriters
-	// must fall back to the full sweep, and direct ClearTouched is a
-	// contract violation.
+	// Counting writers: ClearWriters must sweep the table and reset
+	// every writer's count.
 	s := New(64, Linear)
 	ws := s.NewCountingWriters(2)
 	for k := uint64(0); k < 40; k++ {
@@ -399,17 +339,6 @@ func TestCountingWritersSweepClear(t *testing.T) {
 	if got := ws[0].Inserts() + ws[1].Inserts(); got != 40 {
 		t.Fatalf("counted %d inserts, want 40", got)
 	}
-	if ws[0].Journaling() {
-		t.Error("counting writer claims to journal")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ClearTouched on counting writer did not panic")
-			}
-		}()
-		ws[0].ClearTouched()
-	}()
 	s.ClearWriters(ws, 2)
 	if s.Len() != 0 {
 		t.Errorf("Len after sweep clear = %d", s.Len())
@@ -420,10 +349,10 @@ func TestCountingWritersSweepClear(t *testing.T) {
 }
 
 func TestClearWritersDensePicksSweep(t *testing.T) {
-	// Journaling writers above the crossover occupancy: ClearWriters
-	// must still empty the table and reset the journals (via the sweep).
+	// A nearly full table (at the load contract's limit): ClearWriters
+	// must still empty it and reset the writers.
 	s := New(32, Quadratic)
-	ws := s.NewWriters(2, 32)
+	ws := s.NewCountingWriters(2)
 	for k := uint64(0); k < 30; k++ { // ~47% of slots occupied
 		ws[int(k)%2].TestAndSet(k * 7919)
 	}
@@ -505,15 +434,11 @@ func TestStringDescribesOccupancy(t *testing.T) {
 func BenchmarkTestAndSetLinear(b *testing.B)    { benchInsert(b, Linear) }
 func BenchmarkTestAndSetQuadratic(b *testing.B) { benchInsert(b, Quadratic) }
 
-// Clear-strategy ablation (DESIGN.md "Versioned edge table"): full
-// O(slots) sweep vs journaled O(inserted) clear at swap-engine load
-// (table sized for 2m inserts, m actually performed — the engine's
-// steady state once most proposals are rejected or not yet attempted).
-// Measured outcome: the sweep's streaming stores win by ~8x at this
-// ~25% occupancy — the sweep costs ~0.55 ns/slot, the journal's
-// scattered stores ~18 ns/insert — which is why ClearWriters only takes
-// the journal path below ~1/32 occupancy and the swap engines use
-// counting-only writers.
+// BenchmarkClearFullSweep measures the full O(slots) sweep at
+// swap-engine load (table sized for 2m inserts, m actually performed —
+// the engine's steady state once most proposals are rejected). See
+// DESIGN.md §6.1 for its comparison with a journaled clear, which lost
+// ~8x at this occupancy.
 func BenchmarkClearFullSweep(b *testing.B) {
 	const m = 1 << 20
 	s := New(2*m, Linear)
@@ -530,26 +455,6 @@ func BenchmarkClearFullSweep(b *testing.B) {
 		}
 		b.StartTimer()
 		s.Clear(0)
-	}
-}
-
-func BenchmarkClearJournaled(b *testing.B) {
-	const m = 1 << 20
-	s := New(2*m, Linear)
-	ws := s.NewWriters(1, m)
-	keys := make([]uint64, m)
-	r := rng.New(3)
-	for i := range keys {
-		keys[i] = r.Uint64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for _, k := range keys {
-			ws[0].TestAndSet(k)
-		}
-		b.StartTimer()
-		ws[0].ClearTouched() // force the journal path: this measures the strategy itself
 	}
 }
 

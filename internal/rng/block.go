@@ -66,15 +66,23 @@ func (b *Block) Uint64() uint64 {
 	if b.i == BlockLen {
 		b.refill()
 	}
-	u := b.buf[b.i&(BlockLen-1)] // mask elides the bounds check; i < BlockLen here
 	b.i++
-	return u
+	return b.buf[b.i-1]
 }
 
 // Bool returns a fair coin flip, consuming one variate like Source.Bool.
+// It repeats Uint64's body rather than calling it: Uint64 inlined into
+// Bool exceeds the inlining budget, and the swap sweep draws one coin
+// per pair, so a call there would cost a register spill per proposal.
 //
 //nullgraph:hotpath
-func (b *Block) Bool() bool { return b.Uint64()&1 == 1 }
+func (b *Block) Bool() bool {
+	if b.i == BlockLen {
+		b.refill()
+	}
+	b.i++
+	return b.buf[b.i-1]&1 == 1
+}
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.
 //

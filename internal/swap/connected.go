@@ -105,14 +105,7 @@ func (eng *Engine) stepConnected() (IterStats, bool) {
 		ms.AddEdge(h)
 		edges[i], edges[j] = g, h
 		if swapped != nil {
-			if swapped[i] == 0 {
-				swapped[i] = 1
-				newly++
-			}
-			if swapped[j] == 0 {
-				swapped[j] = 1
-				newly++
-			}
+			newly += markSwapped(swapped, i) + markSwapped(swapped, j)
 		}
 		local++
 	}

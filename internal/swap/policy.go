@@ -1,8 +1,9 @@
 // Per-space swap acceptance policies.
 //
 // The engine samples one cell of the Dutta–Fosdick–Clauset space
-// matrix (graph.Space, arXiv:2105.12120). The cells split into two
-// mechanically different regimes:
+// matrix (graph.Space, arXiv:2105.12120), or simple digraphs. The
+// cells split into two mechanically different regimes, and the
+// directed chain is one more rule of the first:
 //
 //   - Stub-labeled cells (and simple graphs, where stub- and
 //     vertex-labeled uniformity coincide) keep the paper's parallel
@@ -36,8 +37,26 @@
 //     move's key quadruple is unique — making the per-move ratio the
 //     exact proposal ratio. Multiplicities come from a graph.Multiset,
 //     so this path is serial and map-backed; it is intentionally NOT
-//     //nullgraph:hotpath (the parallel stub kernels are: the sweep
-//     and register bodies in swap.go, rejectProbed and rewirePair).
+//     //nullgraph:hotpath (the parallel kernels are: the sweep,
+//     register and triangle bodies in swap.go, rejectProbed and
+//     rewirePair).
+//
+//   - The directed chain (acceptDirected) runs the parallel kernel on
+//     arcs, with the two "certain considerations" the paper defers to
+//     [14], [15]. A pair of arcs (u→v), (x→y) has exactly one legal
+//     exchange, (u→y), (x→v) — the other would move degree between in
+//     and out sides — so the pairing coin becomes a lazy coin: each
+//     pair proposes its exchange with probability 1/2. Without it the
+//     sweep applies every legal exchange of a pairing in lockstep, and
+//     on small arc sets the chain makes only composite moves (the
+//     4-vertex out=in=1 space then splits into four communicating
+//     classes, which internal/statcheck catches). And pair exchanges
+//     alone do not connect the simple-digraph space (the two
+//     orientations of a directed 3-cycle have no legal pair move
+//     between them), so each iteration also reverses disjoint arc
+//     triples that form a directed triangle, the classic second move
+//     of directed switch chains (Rao et al.; Erdős–Miklós–Toroczkai).
+//     The table holds ordered arc keys.
 package swap
 
 import (
@@ -47,10 +66,11 @@ import (
 	"nullgraph/internal/rng"
 )
 
-// acceptRule is a stub-labeled cell's acceptance rule, fixed when the
-// engine is built. The parallel sweep branches on it directly: the
-// branch is loop-invariant and well predicted, where a per-proposal
-// indirect call through a policy func value was neither.
+// acceptRule is the parallel kernel's acceptance rule — a stub-labeled
+// cell's, or the directed chain's — fixed when the engine is built.
+// The parallel sweep branches on it directly: the branch is
+// loop-invariant and well predicted, where a per-proposal indirect
+// call through a policy func value was neither.
 type acceptRule uint8
 
 const (
@@ -68,23 +88,36 @@ const (
 	// acceptAll is the multigraph-stub rule: every proposal commits, so
 	// the cell has no table at all.
 	acceptAll
+	// acceptDirected is the simple-digraph rule: behind the lazy coin,
+	// commit the pair's one legal exchange iff neither new arc is a
+	// self-loop or already present, keyed by ordered arcs; a triangle
+	// reversal phase follows the sweep (see the file doc).
+	acceptDirected
 )
 
+// arcKey packs e as the ordered arc U→V; unlike Edge.Key it does not
+// canonicalize, so (u,v) and (v,u) are distinct keys.
+//
+//nullgraph:hotpath
+func arcKey(e graph.Edge) uint64 {
+	return uint64(uint32(e.U))<<32 | uint64(uint32(e.V))
+}
+
 // rejectProbed is the duplicate test of the table-backed rules with
-// instrumentation: it probes g and then h like the plain path's two
-// TestAndSet calls, files both probe lengths, and attributes a
+// instrumentation: it probes keys gk and then hk like the plain path's
+// two TestAndSet calls, files both probe lengths, and attributes a
 // rejection to the first or the partner edge. It stays out of the
 // sweep's plain path so that path keeps TestAndSet inlined.
 //
 //nullgraph:hotpath
-func rejectProbed(wtr *hashtable.Writer, cell *obs.Counters, g, h graph.Edge) bool {
-	present, probes := wtr.TestAndSetProbed(g.Key())
+func rejectProbed(wtr *hashtable.Writer, cell *obs.Counters, gk, hk uint64) bool {
+	present, probes := wtr.TestAndSetProbed(gk)
 	cell.RecordProbe(probes)
 	if present {
 		cell.RejectDuplicate++
 		return true
 	}
-	present, probes = wtr.TestAndSetProbed(h.Key())
+	present, probes = wtr.TestAndSetProbed(hk)
 	cell.RecordProbe(probes)
 	if present {
 		// g stays registered, as on the plain path.
@@ -190,14 +223,7 @@ func (eng *Engine) stepVertex() (IterStats, bool) {
 		ms.AddEdge(h)
 		edges[i], edges[j] = g, h
 		if swapped != nil {
-			if swapped[i] == 0 {
-				swapped[i] = 1
-				newly++
-			}
-			if swapped[j] == 0 {
-				swapped[j] = 1
-				newly++
-			}
+			newly += markSwapped(swapped, i) + markSwapped(swapped, j)
 		}
 		local++
 	}

@@ -18,14 +18,17 @@
 // "simplified": a duplicate edge can swap into two fresh edges, and the
 // paper observes a few dozen iterations remove all multi-edges.
 //
-// Every parallel cell (see policy.go) runs this one kernel: a single
-// register body and a single sweep body, whose behaviour is set by
-// three loop-invariant values — the cell's acceptance rule, the
-// worker's observability counters (nil without a recorder) and the
-// cooperative stop flag (nil when the run is uncancelable). One run
-// loop, Drive, serves both this engine and the directed chain; Engine.Run
-// is its only driver, and a Stopper such as UntilMixed ends a run
-// early.
+// Every parallel cell (see policy.go) and the directed chain run this
+// one kernel: a single register body and a single sweep body, whose
+// behaviour is set by three loop-invariant values — the acceptance
+// rule, the worker's observability counters (nil without a recorder)
+// and the cooperative stop flag (nil when the run is uncancelable).
+// The directed chain (NewDirectedEngine) is the fourth rule: it keys
+// the table by ordered arcs, proposes each pair's single legal
+// exchange behind a lazy coin, and adds a triangle-reversal phase
+// after the sweep, on the same table, permutation and stop polling.
+// One run loop, Drive, serves every chain; Engine.Run is its only
+// driver, and a Stopper such as UntilMixed ends a run early.
 //
 // Deviation from the paper's pseudocode, documented here once: the
 // self-loop test runs *before* the TestAndSet calls rather than after.
@@ -39,7 +42,7 @@
 // # Hot-path memory discipline
 //
 // The Engine owns every buffer an iteration needs — hash-table writer
-// journals, the permutation target array and reservation scratch,
+// counters, the permutation target array and reservation scratch,
 // per-worker padded accumulators, a persistent worker pool — so after
 // the first Step on a given size, Step performs no heap allocations and
 // the only cross-worker atomics are the edge table's CAS slots and the
@@ -194,9 +197,10 @@ func sweepWorkerSeed(sweepSeed uint64, w int) uint64 {
 // ever-swapped flags, the permutation scratch, and the worker pool.
 // Iterations can be run in any grouping without losing tracking state.
 //
-// Engines with more than one worker own parked goroutines; call Close
-// when done with an engine (the one-shot Run does it for the engine it
-// creates). All methods must be called from one goroutine at a time.
+// NewEngine's engines with more than one worker own parked goroutines;
+// call Close when done with an engine (the one-shot Run does it for the
+// engine it creates). A NewDirectedEngine engine owns none. All methods
+// must be called from one goroutine at a time.
 type Engine struct {
 	el  *graph.EdgeList
 	opt Options
@@ -211,9 +215,10 @@ type Engine struct {
 	// selects the serial Metropolis–Hastings step (policy.go); useTable
 	// is false for cells whose acceptance rule never consults the edge
 	// table (multigraph-stub accepts every proposal), which skips the
-	// register and clear phases entirely. rule is the stub-cell
-	// acceptance rule the parallel sweep applies; ms is the live
-	// multiplicity view the vertex-labeled step reads.
+	// register and clear phases entirely. rule is the acceptance rule
+	// the parallel sweep applies (a stub cell's, or the directed
+	// chain's); ms is the live multiplicity view the vertex-labeled
+	// step reads.
 	vertexMH bool
 	useTable bool
 	rule     acceptRule
@@ -264,22 +269,17 @@ type Engine struct {
 
 	// The parallel-region bodies as method values, bound once here so
 	// Step dispatches them without allocating.
-	registerBody func(w int, r par.Range)
-	targetsBody  func(w int, r par.Range)
-	sweepBody    func(w int, r par.Range)
-	clearBody    func(w int, r par.Range)
+	registerBody  func(w int, r par.Range)
+	targetsBody   func(w int, r par.Range)
+	sweepBody     func(w int, r par.Range)
+	trianglesBody func(w int, r par.Range)
+	clearBody     func(w int, r par.Range)
 }
 
 // NewEngine prepares a swap engine over el. The engine mutates el's
 // edge slice in place; el must not be resized while the engine is live.
 func NewEngine(el *graph.EdgeList, opt Options) *Engine {
-	p := par.Workers(opt.Workers)
-	if opt.Pool != nil {
-		// Per-worker state (writers, cells) is indexed by the dispatching
-		// pool's worker IDs, so an external pool dictates the width.
-		p = opt.Pool.Workers()
-	}
-	eng := &Engine{el: el, opt: opt, p: p}
+	eng := newEngine(opt)
 	switch opt.Space {
 	case graph.LoopyVertex, graph.MultigraphVertex:
 		// Serial exact-MH cells: no table, no permutation.
@@ -306,12 +306,47 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 		eng.useTable = false
 		eng.conn = connected.NewChecker()
 	}
-	if opt.Pool != nil {
-		eng.pool = opt.Pool
-	} else {
-		eng.pool = par.NewPool(p)
+	if eng.pool == nil {
+		eng.pool = par.NewPool(eng.p)
 		eng.ownsPool = true
 	}
+	// Probe-level instrumentation exists for the simple cells only; the
+	// other cells still flush per-iteration chain statistics.
+	eng.probed = eng.rec != nil && (opt.Space == graph.SimpleStub || opt.Space == graph.SimpleVertex)
+	eng.bind(el)
+	return eng
+}
+
+// NewDirectedEngine prepares an engine running the directed chain on
+// el, reading each edge (U, V) as the arc U→V: the simple-digraph
+// analog of Algorithm III.1 that preserves every in- and out-degree
+// (see acceptDirected in policy.go). Space and Connected must be zero.
+// Without Options.Pool the engine owns no goroutines — its phases
+// dispatch per-call workers — so Close is optional; an Options.Pool is
+// used as NewEngine uses it.
+func NewDirectedEngine(el *graph.EdgeList, opt Options) *Engine {
+	if opt.Space != graph.SimpleStub || opt.Connected {
+		panic("swap: the directed chain samples simple digraphs; Space and Connected must be zero")
+	}
+	eng := newEngine(opt)
+	eng.useTable = true
+	eng.rule = acceptDirected
+	eng.bind(el)
+	return eng
+}
+
+// newEngine builds the state every engine shares — width, scratch,
+// accumulators, bound bodies, recorder and stop flag — leaving the
+// rule, the pool (nil unless Options.Pool) and the binding to the
+// constructors.
+func newEngine(opt Options) *Engine {
+	p := par.Workers(opt.Workers)
+	if opt.Pool != nil {
+		// Per-worker state (writers, cells) is indexed by the dispatching
+		// pool's worker IDs, so an external pool dictates the width.
+		p = opt.Pool.Workers()
+	}
+	eng := &Engine{opt: opt, p: p, pool: opt.Pool}
 	eng.sc = permute.NewScratch()
 	eng.apEdges = permute.NewApplier[graph.Edge](eng.sc)
 	eng.apFlags = permute.NewApplier[uint8](eng.sc)
@@ -321,17 +356,13 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 	eng.registerBody = eng.register
 	eng.targetsBody = eng.targets
 	eng.sweepBody = eng.sweep
+	eng.trianglesBody = eng.triangles
 	eng.clearBody = eng.clearChunk
 
 	if obs.Enabled && opt.Recorder != nil {
 		eng.rec = opt.Recorder
-		// Probe-level instrumentation exists for the simple cells only;
-		// the other cells still flush per-iteration chain statistics.
-		eng.probed = opt.Space == graph.SimpleStub || opt.Space == graph.SimpleVertex
 	}
 	eng.SetStop(opt.Stop)
-
-	eng.bind(el)
 	return eng
 }
 
@@ -362,13 +393,16 @@ func (eng *Engine) bind(el *graph.EdgeList) {
 	}
 	if m >= 2 && eng.useTable {
 		// Worst case insertions per iteration: m initial edges + 2 new
-		// edges per proposing pair = 2m, the table's exact capacity.
-		// Counting-only writers: at >= m inserts into <= 8m slots the
-		// iteration always ends above the journal/sweep crossover, so
-		// journaling the slots would be pure per-insert overhead (see the
-		// hashtable package doc).
-		if eng.table == nil || eng.table.Capacity() < 2*m {
-			capacity := 2 * m
+		// edges per proposing pair = 2m, the table's exact capacity; the
+		// directed chain's triangle phase adds 3 per triple, 3m in all.
+		// The table is cleared by a full sweep, which streams at memory
+		// bandwidth (see the hashtable package doc).
+		need := 2 * m
+		if eng.rule == acceptDirected {
+			need = 3 * m
+		}
+		if eng.table == nil || eng.table.Capacity() < need {
+			capacity := need
 			if eng.table != nil {
 				// Rebind growth: batch samples over a same-shape input
 				// jitter in edge count, so a little slack absorbs the
@@ -470,7 +504,7 @@ func (eng *Engine) clearTable() {
 		// Table-less cells (multigraph-stub) have nothing to restore.
 		return
 	}
-	eng.pool.Run(eng.table.NumSlots(), eng.clearBody)
+	par.Execute(eng.pool, eng.table.NumSlots(), eng.p, eng.clearBody)
 	for _, w := range eng.writers {
 		w.Reset()
 	}
@@ -508,7 +542,7 @@ func (eng *Engine) step() (IterStats, bool) {
 	// Phase 1: register the current edge set (skipped for cells whose
 	// acceptance rule never consults the table).
 	if eng.useTable {
-		pool.Run(m, eng.registerBody)
+		par.Execute(pool, m, eng.p, eng.registerBody)
 		if stop.Stopped() {
 			eng.clearTable()
 			return IterStats{}, true
@@ -518,7 +552,7 @@ func (eng *Engine) step() (IterStats, bool) {
 	// Phase 2: permute. The swapped flags ride along under the same
 	// targets so flag k keeps following edge k.
 	eng.permSeed = permSeedFor(eng.opt.Seed, it)
-	pool.Run(m, eng.targetsBody)
+	par.Execute(pool, m, eng.p, eng.targetsBody)
 	if stop.Stopped() {
 		eng.clearTable()
 		return IterStats{}, true
@@ -535,18 +569,15 @@ func (eng *Engine) step() (IterStats, bool) {
 		return IterStats{}, true
 	}
 
-	// Phase 3: propose swaps on adjacent disjoint pairs.
+	// Phase 3: propose swaps on adjacent disjoint pairs; the directed
+	// chain then proposes reversals of disjoint triples, against the
+	// same table.
 	pairs := m / 2
-	stats := IterStats{Attempts: int64(pairs)}
 	eng.sweepSeed = sweepSeedFor(eng.opt.Seed, it)
-	for w := range eng.successes {
-		eng.successes[w].V = 0
-		eng.newly[w].V = 0
-	}
-	pool.Run(pairs, eng.sweepBody)
-	for w := range eng.successes {
-		stats.Successes += eng.successes[w].V
-		eng.swappedCount += eng.newly[w].V
+	stats := IterStats{Attempts: int64(pairs), Successes: eng.propose(pairs, eng.sweepBody)}
+	if eng.rule == acceptDirected {
+		stats.Attempts += int64(m / 3)
+		stats.Successes += eng.propose(m/3, eng.trianglesBody)
 	}
 	if eng.swapped != nil {
 		stats.EverSwapped = eng.EverSwappedFraction()
@@ -572,6 +603,23 @@ func (eng *Engine) step() (IterStats, bool) {
 	return stats, false
 }
 
+// propose runs a proposal phase over n pairs or triples and returns
+// its committed moves, folding the workers' newly set swapped flags
+// into the running count.
+func (eng *Engine) propose(n int, body func(w int, r par.Range)) int64 {
+	for w := range eng.successes {
+		eng.successes[w].V = 0
+		eng.newly[w].V = 0
+	}
+	par.Execute(eng.pool, n, eng.p, body)
+	var successes int64
+	for w := range eng.successes {
+		successes += eng.successes[w].V
+		eng.swappedCount += eng.newly[w].V
+	}
+	return successes
+}
+
 // counters returns worker w's observability cell, or nil when the
 // parallel bodies record nothing.
 func (eng *Engine) counters(w int) *obs.Counters {
@@ -581,28 +629,46 @@ func (eng *Engine) counters(w int) *obs.Counters {
 	return nil
 }
 
+// registerBlock and proposeBlock are the stop-poll intervals of the
+// register phase (in keys) and of the proposal phases (in pairs or
+// triples). Each phase polls once per block in an outer loop, so the
+// per-index loops carry no poll branch.
+const (
+	registerBlock = 8192
+	proposeBlock  = 2048
+)
+
 // register is phase 1 on worker w's chunk: insert every current edge
 // into the table. With a counters cell it files each insert's probe
-// length; with a stop flag it polls every 8192 edges and abandons the
-// chunk once the flag trips.
+// length; the directed rule inserts ordered arc keys. The stop flag is
+// polled once per block, outside the per-key loops, which stay
+// branch-free: one loop per key kind.
 //
 //nullgraph:hotpath
 func (eng *Engine) register(w int, r par.Range) {
 	wtr := eng.writers[w]
 	cell := eng.counters(w)
 	stop := eng.stop
+	ordered := eng.rule == acceptDirected
 	edges := eng.el.Edges
 	//nullgraph:cancelable
-	for i := r.Begin; i < r.End; i++ {
-		if stop != nil && (i-r.Begin)&8191 == 0 && stop.Stopped() {
-			return
+	for lo := r.Begin; lo < r.End && !stop.Stopped(); lo += registerBlock {
+		block := edges[lo:min(lo+registerBlock, r.End)]
+		switch {
+		case cell != nil:
+			for _, e := range block {
+				_, probes := wtr.TestAndSetProbed(e.Key())
+				cell.RecordProbe(probes)
+			}
+		case ordered:
+			for _, e := range block {
+				wtr.TestAndSet(arcKey(e))
+			}
+		default:
+			for _, e := range block {
+				wtr.TestAndSet(e.Key())
+			}
 		}
-		if cell == nil {
-			wtr.TestAndSet(edges[i].Key())
-			continue
-		}
-		_, probes := wtr.TestAndSetProbed(edges[i].Key())
-		cell.RecordProbe(probes)
 	}
 }
 
@@ -613,11 +679,12 @@ func (eng *Engine) targets(w int, r par.Range) {
 
 // sweep is phase 3 on worker w's chunk of pairs: each adjacent pair
 // (E[2k], E[2k+1]) proposes the coin's rewiring, and the engine's
-// acceptance rule (policy.go) decides whether it commits. Three
+// acceptance rule (policy.go) decides whether it commits; under the
+// directed rule the coin is the lazy coin instead. Three
 // loop-invariant values shape the loop: the rule, the worker's
 // counters cell (nil without a recorder; otherwise every probe length
-// and the rejection cause are filed), and the stop flag (nil when the
-// run is uncancelable; otherwise polled every 2048 pairs). Polling and
+// and the rejection cause are filed), and the stop flag (polled once
+// per proposeBlock pairs; nil never stops). Polling and
 // recording never consume randomness, so every combination commits
 // exactly the same swaps.
 //
@@ -634,47 +701,109 @@ func (eng *Engine) sweep(w int, r par.Range) {
 	cell := eng.counters(w)
 	stop := eng.stop
 	swapped := eng.swapped
+	directed := rule == acceptDirected
+	rejectLoops := rule == acceptSimple || directed
 	var local, newly int64
 	//nullgraph:cancelable
-	for k := r.Begin; k < r.End; k++ {
-		if stop != nil && (k-r.Begin)&2047 == 0 && stop.Stopped() {
-			break
-		}
-		i, j := 2*k, 2*k+1
-		g, h := rewirePair(edges[i], edges[j], src.Bool())
-		if rule == acceptSimple && (g.IsLoop() || h.IsLoop()) {
-			if cell != nil {
-				cell.RejectSelfLoop++
-			}
-			continue
-		}
-		if rule != acceptAll {
-			if cell == nil {
-				// A rejected h leaves g registered: harmless for
-				// correctness (it only suppresses re-proposals of g this
-				// iteration).
-				if wtr.TestAndSet(g.Key()) || wtr.TestAndSet(h.Key()) {
-					continue
+	for lo := r.Begin; lo < r.End && !stop.Stopped(); lo += proposeBlock {
+		hi := min(lo+proposeBlock, r.End)
+		for k := lo; k < hi; k++ {
+			i, j := 2*k, 2*k+1
+			coin := src.Bool()
+			var g, h graph.Edge
+			var gk, hk uint64
+			if directed {
+				if coin {
+					continue // the lazy coin: this pair proposes nothing
 				}
-			} else if rejectProbed(wtr, cell, g, h) {
+				// The one legal exchange (u→v),(x→y) ⇒ (u→y),(x→v), keyed
+				// as ordered arcs.
+				a, b := edges[i], edges[j]
+				g, h = graph.Edge{U: a.U, V: b.V}, graph.Edge{U: b.U, V: a.V}
+				gk, hk = arcKey(g), arcKey(h)
+			} else {
+				g, h = rewirePair(edges[i], edges[j], coin)
+				gk, hk = g.Key(), h.Key()
+			}
+			if rejectLoops && (g.IsLoop() || h.IsLoop()) {
+				if cell != nil {
+					cell.RejectSelfLoop++
+				}
 				continue
 			}
-		}
-		edges[i], edges[j] = g, h
-		if swapped != nil {
-			if swapped[i] == 0 {
-				swapped[i] = 1
-				newly++
+			if wtr != nil {
+				if cell == nil {
+					// A rejected h leaves g registered: harmless for
+					// correctness (it only suppresses re-proposals of g this
+					// iteration).
+					if wtr.TestAndSet(gk) || wtr.TestAndSet(hk) {
+						continue
+					}
+				} else if rejectProbed(wtr, cell, gk, hk) {
+					continue
+				}
 			}
-			if swapped[j] == 0 {
-				swapped[j] = 1
-				newly++
+			edges[i], edges[j] = g, h
+			if swapped != nil {
+				newly += markSwapped(swapped, i) + markSwapped(swapped, j)
 			}
+			local++
 		}
-		local++
 	}
 	eng.successes[w].V = local
 	eng.newly[w].V = newly
+}
+
+// triangles is the directed chain's second phase on worker w's chunk
+// of triples: each adjacent triple (E[3k], E[3k+1], E[3k+2]) that forms
+// a directed triangle u→v→w→u in this order is reversed, iff none of
+// the reversed arcs is in the table. The table still holds every arc of
+// this iteration plus the sweep's insertions — a conservative filter
+// that can only reject, never corrupt. The stop flag is polled once per
+// proposeBlock triples.
+//
+//nullgraph:hotpath
+func (eng *Engine) triangles(w int, r par.Range) {
+	wtr := eng.writers[w]
+	stop := eng.stop
+	edges := eng.el.Edges
+	swapped := eng.swapped
+	var local, newly int64
+	//nullgraph:cancelable
+	for lo := r.Begin; lo < r.End && !stop.Stopped(); lo += proposeBlock {
+		hi := min(lo+proposeBlock, r.End)
+		for k := lo; k < hi; k++ {
+			i := 3 * k
+			a, b, c := edges[i], edges[i+1], edges[i+2]
+			if a.V != b.U || b.V != c.U || c.V != a.U {
+				continue // not a directed triangle in this order
+			}
+			if a.U == b.U || b.U == c.U || a.U == c.U {
+				continue // degenerate (repeated vertex)
+			}
+			ra, rb, rc := graph.Edge{U: a.V, V: a.U}, graph.Edge{U: b.V, V: b.U}, graph.Edge{U: c.V, V: c.U}
+			if wtr.TestAndSet(arcKey(ra)) || wtr.TestAndSet(arcKey(rb)) || wtr.TestAndSet(arcKey(rc)) {
+				continue
+			}
+			edges[i], edges[i+1], edges[i+2] = ra, rb, rc
+			if swapped != nil {
+				newly += markSwapped(swapped, i) + markSwapped(swapped, i+1) + markSwapped(swapped, i+2)
+			}
+			local++
+		}
+	}
+	eng.successes[w].V = local
+	eng.newly[w].V = newly
+}
+
+// markSwapped sets edge i's ever-swapped flag, returning 1 on the first
+// transition and 0 otherwise.
+func markSwapped(swapped []uint8, i int) int64 {
+	if swapped[i] != 0 {
+		return 0
+	}
+	swapped[i] = 1
+	return 1
 }
 
 // clearChunk is phase 4 on worker w's share of the table's slots.
