@@ -324,9 +324,9 @@ func (pl *Pool) Close() {
 }
 
 // Execute runs body over [0, n) on pl when pl is non-nil, else via
-// ForRange with p workers. It lets scratch-reusing code (permute's
-// Applier, the swap engines) accept an optional pool without forcing
-// every caller to own one.
+// ForRange with p workers. It lets scratch-reusing code (the swap
+// engines) accept an optional pool without forcing every caller to own
+// one.
 //
 //nullgraph:hotpath
 func Execute(pl *Pool, n, p int, body func(w int, r Range)) {

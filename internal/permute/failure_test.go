@@ -5,17 +5,26 @@ import "testing"
 func TestApplyLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Apply with mismatched lengths did not panic")
+			t.Error("ApplyStop with mismatched lengths did not panic")
 		}
 	}()
-	Apply([]int{1, 2, 3}, []int32{0}, 1)
+	ApplyStop([]int{1, 2, 3}, []int32{0}, nil)
+}
+
+func TestApplierLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("length mismatch did not panic")
+		}
+	}()
+	NewApplier[int](NewScratch()).Apply(make([]int, 3), make([]int32, 2), 1, nil)
 }
 
 func TestApplyTrivialSizes(t *testing.T) {
 	// len 0 and 1 are no-ops regardless of target content.
-	Apply([]int{}, []int32{}, 4)
+	ApplyStop([]int{}, []int32{}, nil)
 	one := []int{42}
-	Apply(one, []int32{0}, 4)
+	ApplyStop(one, []int32{0}, nil)
 	if one[0] != 42 {
 		t.Error("single-element apply changed data")
 	}
@@ -42,8 +51,11 @@ func TestApplyConsistentAcrossArrays(t *testing.T) {
 		tags[i] = uint8(i % 251)
 	}
 	h := Targets(9, n, 4)
-	Apply(vals, h, 4)
-	Apply(tags, h, 4)
+	ApplyStop(vals, h, nil)
+	ApplyStop(tags, h, nil)
+	if !isPermutationOfIota(vals) {
+		t.Fatal("not a permutation")
+	}
 	for i := range vals {
 		if tags[i] != uint8(vals[i]%251) {
 			t.Fatalf("arrays desynchronized at %d", i)

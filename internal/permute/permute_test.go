@@ -38,31 +38,34 @@ func TestFisherYatesIsPermutation(t *testing.T) {
 	}
 }
 
-func TestParallelIsPermutation(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 100, serialCutoff - 1, serialCutoff, 50000} {
-		for _, p := range []int{1, 2, 4, 8} {
-			data := iota(n)
-			Parallel(123, data, p)
-			if !isPermutationOfIota(data) {
-				t.Fatalf("n=%d p=%d: not a permutation", n, p)
-			}
-		}
+// shuffle is the permutation the swap engine applies for
+// (seed, len(data), p): targets drawn at width p, then the serial apply.
+func shuffle(seed uint64, data []int, p int) {
+	ApplyStop(data, Targets(seed, len(data), p), nil)
+}
+
+// insideOut is the reference definition of the apply.
+func insideOut[T any](data []T, h []int32) {
+	for i := range data {
+		j := h[i]
+		data[i], data[j] = data[j], data[i]
 	}
 }
 
-func TestParallelMatchesSerialApply(t *testing.T) {
-	// For identical targets the reservation algorithm must reproduce the
-	// serial inside-out shuffle exactly.
-	for _, n := range []int{2, 37, 5000, 20000} {
-		h := make([]int32, n)
-		targets(77, n, 4, h)
-		want := iota(n)
-		applySerial(want, h)
-		got := iota(n)
-		applyParallel(got, h, 4)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: parallel apply diverges from serial at %d", n, i)
+func TestParallelIsPermutation(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 100, applyBlock - 1, applyBlock, applyBlock + 1, 50000} {
+		for _, p := range []int{1, 2, 4, 8} {
+			data := iota(n)
+			shuffle(123, data, p)
+			if !isPermutationOfIota(data) {
+				t.Fatalf("n=%d p=%d: not a permutation", n, p)
+			}
+			want := iota(n)
+			insideOut(want, Targets(123, n, p))
+			for i := range want {
+				if data[i] != want[i] {
+					t.Fatalf("n=%d p=%d: ApplyStop diverges from the inside-out loop at %d", n, p, i)
+				}
 			}
 		}
 	}
@@ -71,15 +74,15 @@ func TestParallelMatchesSerialApply(t *testing.T) {
 func TestParallelDeterministicForFixedSeedAndWorkers(t *testing.T) {
 	const n = 30000
 	a, b := iota(n), iota(n)
-	Parallel(9, a, 4)
-	Parallel(9, b, 4)
+	shuffle(9, a, 4)
+	shuffle(9, b, 4)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same (seed,p) diverged at %d", i)
 		}
 	}
 	c := iota(n)
-	Parallel(10, c, 4)
+	shuffle(10, c, 4)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -94,8 +97,7 @@ func TestParallelDeterministicForFixedSeedAndWorkers(t *testing.T) {
 
 func TestTargetsInRange(t *testing.T) {
 	const n = 10000
-	h := make([]int32, n)
-	targets(3, n, 8, h)
+	h := Targets(3, n, 8)
 	for i, target := range h {
 		if int(target) < i || int(target) >= n {
 			t.Fatalf("h[%d] = %d out of [%d, %d)", i, target, i, n)
@@ -103,15 +105,36 @@ func TestTargetsInRange(t *testing.T) {
 	}
 }
 
+// TestTargetsIntoMatchesTargets locks the buffer-reusing entry point to
+// the allocating one, including when the buffer is dirty from a
+// previous, larger fill.
+func TestTargetsIntoMatchesTargets(t *testing.T) {
+	buf := make([]int32, 20000)
+	for i := range buf {
+		buf[i] = -7 // poison
+	}
+	for _, n := range []int{20000, 5000, 1} { // shrink between calls
+		for _, p := range []int{1, 4} {
+			want := Targets(99, n, p)
+			got := buf[:n]
+			TargetsInto(99, p, got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d p=%d: TargetsInto[%d] = %d, Targets %d", n, p, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestParallelUniformitySmall(t *testing.T) {
-	// All 6 permutations of 3 elements should appear near-uniformly.
-	// (Exercises the serial fallback path, which defines the
-	// distribution for the parallel path too.)
+	// All 6 permutations of 3 elements should appear near-uniformly,
+	// with the targets drawn at width 2.
 	const trials = 60000
 	counts := map[[3]int]int{}
 	for trial := 0; trial < trials; trial++ {
 		data := iota(3)
-		Parallel(uint64(trial), data, 2)
+		shuffle(uint64(trial), data, 2)
 		counts[[3]int{data[0], data[1], data[2]}]++
 	}
 	if len(counts) != 6 {
@@ -126,14 +149,15 @@ func TestParallelUniformitySmall(t *testing.T) {
 }
 
 func TestParallelUniformityLarge(t *testing.T) {
-	// Position distribution check on the parallel path: element 0 should
-	// land in each quarter of a large array about equally often.
-	const n = serialCutoff * 2
+	// Position distribution check with targets drawn at width 4 over
+	// several apply blocks: element 0 should land in each quarter of a
+	// large array about equally often.
+	const n = applyBlock * 2
 	const trials = 400
 	quarters := [4]int{}
 	for trial := 0; trial < trials; trial++ {
 		data := iota(n)
-		Parallel(uint64(trial)+500, data, 4)
+		shuffle(uint64(trial)+500, data, 4)
 		for pos, v := range data {
 			if v == 0 {
 				quarters[pos*4/n]++
@@ -172,12 +196,13 @@ func BenchmarkFisherYates(b *testing.B) {
 	b.SetBytes(n * 8)
 }
 
-func BenchmarkParallelPermutation(b *testing.B) {
+func BenchmarkApplyStop(b *testing.B) {
 	const n = 1 << 20
 	data := iota(n)
+	h := Targets(1, n, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Parallel(uint64(i), data, 0)
+		ApplyStop(data, h, nil)
 	}
 	b.SetBytes(n * 8)
 }

@@ -39,8 +39,8 @@ func TestFillTargetsStopUntrippedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestApplierStopUntrippedBitIdentical: an Applier carrying a
-// never-tripped stop must permute exactly like one without.
+// TestApplierStopUntrippedBitIdentical: an apply polling a
+// never-tripped stop must permute exactly like one with a nil stop.
 func TestApplierStopUntrippedBitIdentical(t *testing.T) {
 	const n = 50_000
 	h := Targets(7, n, 2)
@@ -51,11 +51,8 @@ func TestApplierStopUntrippedBitIdentical(t *testing.T) {
 		watched[i] = int64(i)
 	}
 
-	a1 := NewApplier[int64](NewScratch())
-	a1.Apply(plain, h, 2, nil)
-	a2 := NewApplier[int64](NewScratch())
-	a2.SetStop(&par.Stop{})
-	a2.Apply(watched, h, 2, nil)
+	ApplyStop(plain, h, nil)
+	ApplyStop(watched, h, &par.Stop{})
 	for i := range plain {
 		if plain[i] != watched[i] {
 			t.Fatalf("stop polling changed the permutation at %d", i)
@@ -65,7 +62,7 @@ func TestApplierStopUntrippedBitIdentical(t *testing.T) {
 
 // TestApplierStopPreTrippedPreservesMultiset: an abandoned apply may
 // leave the data partially permuted but never corrupted — same
-// multiset, and the Applier stays reusable afterwards.
+// multiset — and a later apply of the same targets is exact again.
 func TestApplierStopPreTrippedPreservesMultiset(t *testing.T) {
 	const n = 20_000
 	h := Targets(3, n, 2)
@@ -74,11 +71,9 @@ func TestApplierStopPreTrippedPreservesMultiset(t *testing.T) {
 		data[i] = int64(i)
 	}
 
-	a := NewApplier[int64](NewScratch())
 	stop := &par.Stop{}
 	stop.Set()
-	a.SetStop(stop)
-	a.Apply(data, h, 2, nil)
+	ApplyStop(data, h, stop)
 
 	seen := make(map[int64]int, n)
 	for _, v := range data {
@@ -90,21 +85,20 @@ func TestApplierStopPreTrippedPreservesMultiset(t *testing.T) {
 		}
 	}
 
-	// Reuse after abort: clearing the stop must give the reference
-	// permutation again.
-	a.SetStop(nil)
+	// Reuse after abort: without the stop the apply must give the
+	// reference permutation again.
 	for i := range data {
 		data[i] = int64(i)
 	}
-	a.Apply(data, h, 2, nil)
+	ApplyStop(data, h, nil)
 	want := make([]int64, n)
 	for i := range want {
 		want[i] = int64(i)
 	}
-	applySerial(want, h)
+	insideOut(want, h)
 	for i := range data {
 		if data[i] != want[i] {
-			t.Fatalf("reused Applier diverges from serial reference at %d", i)
+			t.Fatalf("apply after an abandoned one diverges from the reference at %d", i)
 		}
 	}
 }

@@ -4,7 +4,10 @@
 //
 // Each iteration:
 //  1. every current edge is inserted into a concurrent hash table,
-//  2. the edge list is randomly permuted in parallel (Shun et al.),
+//  2. the edge list is randomly permuted: the inside-out shuffle's
+//     targets are drawn in parallel from per-worker streams, then one
+//     serial pass applies them (see the permute package doc for why the
+//     apply is not Shun et al.'s reservation rounds),
 //  3. adjacent disjoint pairs (E[2k], E[2k+1]) each propose one of the
 //     two endpoint exchanges, chosen by a fair coin, and commit it iff
 //     neither new edge is a self-loop and neither is already present in
@@ -42,12 +45,12 @@
 // # Hot-path memory discipline
 //
 // The Engine owns every buffer an iteration needs — hash-table writer
-// counters, the permutation target array and reservation scratch,
-// per-worker padded accumulators, a persistent worker pool — so after
-// the first Step on a given size, Step performs no heap allocations and
-// the only cross-worker atomics are the edge table's CAS slots and the
-// permutation's reservation words. Step must not be called concurrently
-// with itself or with any other method of the same Engine.
+// counters, the permutation target array, per-worker padded
+// accumulators, a persistent worker pool — so after the first Step on a
+// given size, Step performs no heap allocations and the only
+// cross-worker atomics are the edge table's CAS slots. Step must not be
+// called concurrently with itself or with any other method of the same
+// Engine.
 package swap
 
 import (
@@ -104,9 +107,10 @@ type Options struct {
 	// TrackSwapped maintains a per-edge "ever successfully swapped" flag
 	// so IterStats can report the mixing fraction the paper uses as its
 	// empirical stopping signal. The fraction is accumulated
-	// incrementally from newly-set flags, so tracking costs one extra
-	// permutation per iteration (the flags ride the edge permutation)
-	// but no re-scan; leave false in throughput benchmarks.
+	// incrementally from newly-set flags, so tracking costs one serial
+	// pass over the 1-byte flags per iteration (they follow the edges
+	// under the same permutation targets) but no re-scan; leave false in
+	// throughput benchmarks.
 	TrackSwapped bool
 	// OnIteration, when non-nil, receives each iteration's statistics as
 	// soon as the sweep finishes; experiments use it to snapshot
@@ -194,7 +198,7 @@ func sweepWorkerSeed(sweepSeed uint64, w int) uint64 {
 
 // Engine holds the reusable state of the swap process on one edge list:
 // the concurrent edge table with its per-worker insertion counters, the
-// ever-swapped flags, the permutation scratch, and the worker pool.
+// ever-swapped flags, the permutation target array, and the worker pool.
 // Iterations can be run in any grouping without losing tracking state.
 //
 // NewEngine's engines with more than one worker own parked goroutines;
@@ -240,13 +244,8 @@ type Engine struct {
 	swapped      []uint8
 	swappedCount int64
 
-	// h is the permutation target buffer; sc/apEdges/apFlags the
-	// reusable reservation machinery (the appliers share one scratch —
-	// they run sequentially).
-	h       []int32
-	sc      *permute.Scratch
-	apEdges *permute.Applier[graph.Edge]
-	apFlags *permute.Applier[uint8]
+	// h is the permutation target buffer.
+	h []int32
 
 	// successes and newly are per-worker padded accumulators (cache-line
 	// isolated so workers don't false-share).
@@ -335,7 +334,7 @@ func NewDirectedEngine(el *graph.EdgeList, opt Options) *Engine {
 	return eng
 }
 
-// newEngine builds the state every engine shares — width, scratch,
+// newEngine builds the state every engine shares — width,
 // accumulators, bound bodies, recorder and stop flag — leaving the
 // rule, the pool (nil unless Options.Pool) and the binding to the
 // constructors.
@@ -347,9 +346,6 @@ func newEngine(opt Options) *Engine {
 		p = opt.Pool.Workers()
 	}
 	eng := &Engine{opt: opt, p: p, pool: opt.Pool}
-	eng.sc = permute.NewScratch()
-	eng.apEdges = permute.NewApplier[graph.Edge](eng.sc)
-	eng.apFlags = permute.NewApplier[uint8](eng.sc)
 	eng.successes = make([]par.Cell, p)
 	eng.newly = make([]par.Cell, p)
 
@@ -362,7 +358,7 @@ func newEngine(opt Options) *Engine {
 	if obs.Enabled && opt.Recorder != nil {
 		eng.rec = opt.Recorder
 	}
-	eng.SetStop(opt.Stop)
+	eng.stop = opt.Stop
 	return eng
 }
 
@@ -449,9 +445,9 @@ func (eng *Engine) bind(el *graph.EdgeList) {
 }
 
 // Reset rebinds the engine to a new edge list, reusing the table,
-// counters, scratch and pool when capacities allow. Tracking state and
-// the iteration counter restart from zero, so a Reset engine behaves
-// exactly like a freshly constructed one (bit-identically for
+// counters, target buffer and pool when capacities allow. Tracking
+// state and the iteration counter restart from zero, so a Reset engine
+// behaves exactly like a freshly constructed one (bit-identically for
 // Workers=1). The previous edge list is left as the last Step left it.
 func (eng *Engine) Reset(el *graph.EdgeList) {
 	eng.bind(el)
@@ -463,14 +459,10 @@ func (eng *Engine) Reset(el *graph.EdgeList) {
 func (eng *Engine) SetSeed(seed uint64) { eng.opt.Seed = seed }
 
 // SetStop attaches (or, with nil, detaches) a cooperative stop flag for
-// subsequent iterations, propagating it to the permutation appliers.
-// With a nil stop the plain loop bodies run, preserving the
+// subsequent iterations; every phase, the permutation's apply included,
+// polls it. With a nil stop the plain loop bodies run, preserving the
 // zero-allocation, bit-identical hot path.
-func (eng *Engine) SetStop(stop *par.Stop) {
-	eng.stop = stop
-	eng.apEdges.SetStop(stop)
-	eng.apFlags.SetStop(stop)
-}
+func (eng *Engine) SetStop(stop *par.Stop) { eng.stop = stop }
 
 // Close releases the engine's worker pool (unless it was supplied via
 // Options.Pool, in which case its owner closes it). The engine must not
@@ -549,7 +541,8 @@ func (eng *Engine) step() (IterStats, bool) {
 		}
 	}
 
-	// Phase 2: permute. The swapped flags ride along under the same
+	// Phase 2: permute — the targets in parallel, then one serial
+	// apply on this goroutine. The swapped flags follow under the same
 	// targets so flag k keeps following edge k.
 	eng.permSeed = permSeedFor(eng.opt.Seed, it)
 	par.Execute(pool, m, eng.p, eng.targetsBody)
@@ -557,12 +550,12 @@ func (eng *Engine) step() (IterStats, bool) {
 		eng.clearTable()
 		return IterStats{}, true
 	}
-	eng.apEdges.Apply(eng.el.Edges, eng.h, eng.p, pool)
+	permute.ApplyStop(eng.el.Edges, eng.h, stop)
 	if eng.swapped != nil {
 		// A stop between the two applies leaves the flags lagging the
 		// edges; acceptable, because an interrupted sample's tracking
 		// state is discarded (the run ends, and Reset clears it).
-		eng.apFlags.Apply(eng.swapped, eng.h, eng.p, pool)
+		permute.ApplyStop(eng.swapped, eng.h, stop)
 	}
 	if stop.Stopped() {
 		eng.clearTable()

@@ -419,7 +419,8 @@ func benchProbing(b *testing.B, probing hashtable.Probing) {
 }
 
 // Tracking ablation: the cost of the EverSwapped mixing tracker (one
-// extra permutation plus a parallel sum per iteration).
+// serial apply over the 1-byte flags per iteration; the fraction is
+// counted incrementally).
 func BenchmarkSwapIterationTracked(b *testing.B) {
 	el := ring(1 << 18)
 	eng := NewEngine(el, Options{Workers: 0, Seed: 1, TrackSwapped: true})
