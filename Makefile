@@ -71,12 +71,15 @@ race-serve:
 # lint runs the repo's own analyzer suite (cmd/nullvet: rngshare,
 # hotpathalloc, stoppoll, atomicalign, errpropagate, fingerprintcomplete,
 # schemaver, goroutinejoin, ctxflow — see DESIGN.md §10 and §15) with the
-# committed known-debt baseline, plus staticcheck when installed.
+# committed known-debt baseline, a gofmt check of every tracked Go file
+# (git ls-files, so build output such as .bench_build/ is not scanned),
+# plus staticcheck when installed.
 # staticcheck and govulncheck are not vendored; CI installs pinned
 # versions, and locally the steps are skipped with a notice when the
 # binaries are absent.
 lint:
 	$(GO) run ./cmd/nullvet -baseline .nullvet-baseline ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

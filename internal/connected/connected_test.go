@@ -86,10 +86,10 @@ func TestRealizableTrivial(t *testing.T) {
 
 func TestRealizeConnected(t *testing.T) {
 	cases := [][]int64{
-		{2, 2, 2, 2, 2, 2},    // Havel–Hakimi yields two triangles; Connect must repair
-		{3, 2, 2, 2, 1},       // ISSUE.md's unicyclic example
-		{1, 2, 2, 2, 1},       // path P5
-		{4, 1, 1, 1, 1},       // star
+		{2, 2, 2, 2, 2, 2},       // Havel–Hakimi yields two triangles; Connect must repair
+		{3, 2, 2, 2, 1},          // unicyclic: one cycle plus a pendant vertex
+		{1, 2, 2, 2, 1},          // path P5
+		{4, 1, 1, 1, 1},          // star
 		{3, 3, 3, 3, 3, 3, 3, 3}, // cubic on 8 vertices
 		{2, 2, 2, 2, 2, 2, 2, 2}, // all-2s n=8: HH splits into two C4s
 	}

@@ -271,9 +271,18 @@ func TestRunSwapScale(t *testing.T) {
 	if res.Points[0].Workers != 1 {
 		t.Errorf("sweep must start at 1 worker, got %d", res.Points[0].Workers)
 	}
-	for _, p := range res.Points {
+	speedup, lo, hi := res.Speedup()
+	for i, p := range res.Points {
 		if p.TimeThreeIterations <= 0 || p.TimeOneIteration <= 0 {
 			t.Errorf("workers=%d: non-positive times", p.Workers)
+		}
+		// Every width is timed once per trial, and the reported median
+		// speedup lies within its per-trial range.
+		if len(p.ThreeIterations) != cfg.Trials {
+			t.Errorf("workers=%d: %d timed trials, want %d", p.Workers, len(p.ThreeIterations), cfg.Trials)
+		}
+		if !(lo[i] <= speedup[i] && speedup[i] <= hi[i]) {
+			t.Errorf("workers=%d: speedup %v outside its range [%v, %v]", p.Workers, speedup[i], lo[i], hi[i])
 		}
 		// The paper observes ~99.9% of edges swap in one iteration on
 		// LiveJournal; demand a strong majority here.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"time"
 
 	"nullgraph/internal/datasets"
@@ -13,13 +14,16 @@ import (
 )
 
 // SwapScalePoint is one worker count's measurement on the LiveJournal
-// analog.
+// analog, repeated over the configured number of trials.
 type SwapScalePoint struct {
 	Workers int
-	// TimeThreeIterations is the wall time of 3 full swap iterations
-	// (the paper's "successfully swap all edges" budget).
+	// ThreeIterations holds each trial's wall time of 3 full swap
+	// iterations (the paper's "successfully swap all edges" budget), in
+	// trial order.
+	ThreeIterations []time.Duration
+	// TimeThreeIterations is the median of ThreeIterations.
 	TimeThreeIterations time.Duration
-	// TimeOneIteration is one iteration's wall time.
+	// TimeOneIteration is the median of one iteration's wall time.
 	TimeOneIteration time.Duration
 	// SwappedAfterOne is the fraction of edges swapped at least once
 	// after a single iteration (the paper observes 99.9%... of
@@ -66,54 +70,95 @@ func RunSwapScale(cfg Config) (*SwapScaleResult, error) {
 		maxWorkers = runtime.GOMAXPROCS(0)
 	}
 	for w := 1; w <= maxWorkers; w *= 2 {
-		el := base.Clone()
-		start := time.Now()
-		r := swap.Run(el, swap.Options{
-			Iterations: 3, Workers: w, Seed: rng.Mix64(cfg.Seed) + uint64(w),
-			TrackSwapped: true,
-		})
-		elapsed := time.Since(start)
-		point := SwapScalePoint{Workers: w, TimeThreeIterations: elapsed}
-		if len(r.PerIteration) > 0 {
-			point.SwappedAfterOne = r.PerIteration[0].EverSwapped
-		}
-		// One-iteration time measured separately on a fresh clone
-		// without tracking overhead.
-		el = base.Clone()
-		start = time.Now()
-		swap.Run(el, swap.Options{Iterations: 1, Workers: w, Seed: rng.Mix64(cfg.Seed) + uint64(w)})
-		point.TimeOneIteration = time.Since(start)
-		res.Points = append(res.Points, point)
+		res.Points = append(res.Points, SwapScalePoint{Workers: w})
 		if w < maxWorkers && w*2 > maxWorkers {
 			w = maxWorkers / 2 // ensure the final sweep point is maxWorkers
 		}
 	}
+	// One cold run of one width is a single sample of a noisy host, so
+	// every width runs once per trial, and the widths alternate within a
+	// trial (reversing order on odd trials) so slow host phases hit them
+	// alike.
+	trials := cfg.trials()
+	ones := make([][]time.Duration, len(res.Points))
+	for t := 0; t < trials; t++ {
+		for k := range res.Points {
+			if t%2 == 1 {
+				k = len(res.Points) - 1 - k
+			}
+			pt := &res.Points[k]
+			seed := rng.Mix64(cfg.Seed) + uint64(pt.Workers)
+			el := base.Clone()
+			start := time.Now()
+			r := swap.Run(el, swap.Options{Iterations: 3, Workers: pt.Workers, Seed: seed, TrackSwapped: true})
+			pt.ThreeIterations = append(pt.ThreeIterations, time.Since(start))
+			if t == 0 && len(r.PerIteration) > 0 {
+				pt.SwappedAfterOne = r.PerIteration[0].EverSwapped
+			}
+			// One-iteration time measured separately on a fresh clone
+			// without tracking overhead.
+			el = base.Clone()
+			start = time.Now()
+			swap.Run(el, swap.Options{Iterations: 1, Workers: pt.Workers, Seed: seed})
+			ones[k] = append(ones[k], time.Since(start))
+		}
+	}
+	for k := range res.Points {
+		res.Points[k].TimeThreeIterations = medianDuration(res.Points[k].ThreeIterations)
+		res.Points[k].TimeOneIteration = medianDuration(ones[k])
+	}
 	return res, nil
 }
 
-// Speedup returns T(1)/T(p) for the 3-iteration measurement.
-func (r *SwapScaleResult) Speedup() []float64 {
-	if len(r.Points) == 0 {
-		return nil
-	}
-	t1 := r.Points[0].TimeThreeIterations.Seconds()
-	out := make([]float64, len(r.Points))
-	for i, p := range r.Points {
-		out[i] = t1 / p.TimeThreeIterations.Seconds()
-	}
-	return out
+// medianDuration returns the median of ds (the upper middle for an even
+// count) without reordering ds.
+func medianDuration(ds []time.Duration) time.Duration {
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	return sorted[len(sorted)/2]
 }
 
-// Render prints the sweep.
+// Speedup returns, for each point, the median of the per-trial ratios
+// T(1)/T(p) of the 3-iteration measurement, and their min and max.
+// Trial t's ratio divides the two widths' t-th runs, which ran within
+// one round of the sweep.
+func (r *SwapScaleResult) Speedup() (median, lo, hi []float64) {
+	if len(r.Points) == 0 {
+		return nil, nil, nil
+	}
+	base := r.Points[0].ThreeIterations
+	for _, p := range r.Points {
+		ratios := make([]float64, len(p.ThreeIterations))
+		for t, d := range p.ThreeIterations {
+			ratios[t] = base[t].Seconds() / d.Seconds()
+		}
+		slices.Sort(ratios)
+		median = append(median, ratios[len(ratios)/2])
+		lo = append(lo, ratios[0])
+		hi = append(hi, ratios[len(ratios)-1])
+	}
+	return median, lo, hi
+}
+
+// Render prints the sweep: medians over the trials, with the min–max
+// range of the 3-iteration time and of the speedup.
 func (r *SwapScaleResult) Render(w io.Writer) {
 	header(w, fmt.Sprintf("§VIII-C — swap scaling on the %s analog (%d edges)", r.Dataset, r.Edges))
 	fmt.Fprintf(w, "paper (full-size, 16-core Xeon): %.0f s serial / %.0f s parallel for 3 iterations\n",
 		r.PaperSerialSeconds, r.PaperParallelSeconds)
-	fmt.Fprintf(w, "%8s %14s %14s %10s %16s\n", "workers", "3 iters (ms)", "1 iter (ms)", "speedup", "swapped after 1")
-	speedups := r.Speedup()
+	if len(r.Points) > 0 {
+		fmt.Fprintf(w, "medians of %d trials per width, widths alternating; min–max in brackets\n", len(r.Points[0].ThreeIterations))
+	}
+	fmt.Fprintf(w, "%8s %14s %21s %14s %8s %13s %16s\n",
+		"workers", "3 iters (ms)", "[min–max]", "1 iter (ms)", "speedup", "[min–max]", "swapped after 1")
+	speedup, lo, hi := r.Speedup()
 	for i, p := range r.Points {
-		fmt.Fprintf(w, "%8d %14s %14s %10.2f %15.1f%%\n",
-			p.Workers, ms(p.TimeThreeIterations), ms(p.TimeOneIteration),
-			speedups[i], p.SwappedAfterOne*100)
+		fmt.Fprintf(w, "%8d %14s %21s %14s %8.2f %13s %15.1f%%\n",
+			p.Workers, ms(p.TimeThreeIterations),
+			fmt.Sprintf("[%.1f–%.1f]", msf(slices.Min(p.ThreeIterations)), msf(slices.Max(p.ThreeIterations))),
+			ms(p.TimeOneIteration), speedup[i],
+			fmt.Sprintf("[%.2f–%.2f]", lo[i], hi[i]), p.SwappedAfterOne*100)
 	}
 }
+
+func msf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

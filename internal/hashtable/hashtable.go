@@ -3,6 +3,16 @@
 // keys, one atomic compare-and-swap per insertion in the common case,
 // and linear or quadratic probing on collision.
 //
+// The CAS is needed only while several goroutines share the table. A
+// lone writer (NewCountingWriters(1)) is its table's only writer until
+// the next clear, and claims empty slots with a plain store instead. On
+// amd64 a CAS is a locked instruction, which also holds back the next
+// probe's load; a random insert into an 8 MiB table (m = 194k keys)
+// measured 24–35 ns by uncontended CAS against 19–23 ns by plain store
+// on a 2-vCPU Intel Xeon VM (BenchmarkWriterTestAndSet). Both paths
+// share one probe loop and give the same membership answers, so a
+// one-worker run is unchanged bit for bit.
+//
 // The table supports only TestAndSet (insert-if-absent), Contains, and
 // clearing — exactly the operations double-edge swapping needs. There is
 // no deletion: the swap loop rebuilds/clears the table every iteration.
@@ -61,8 +71,10 @@ const (
 )
 
 // EdgeSet is a fixed-capacity concurrent set of uint64 keys. Safe for
-// concurrent TestAndSet/Contains; the clear methods must not race with
-// writers.
+// concurrent TestAndSet/Contains, and for concurrent inserts through the
+// Writers of one NewCountingWriters(p > 1) set; a lone writer
+// (NewCountingWriters(1)) must have the table to itself until the next
+// clear (see Writer). The clear methods must not race with writers.
 //
 // Slot encoding: 0 = empty, otherwise key+1 (vertex IDs are int32, so
 // key+1 never wraps).
@@ -154,6 +166,15 @@ func (s *EdgeSet) testAndSet(key uint64, w *Writer) (bool, int) {
 			return true, int(step)
 		}
 		if cur == 0 {
+			// A lone writer owns the table until the next clear, so no
+			// other goroutine can claim this slot: a plain store
+			// suffices, and it does not stall the next load the way a
+			// locked CAS does.
+			if w != nil && w.single {
+				s.slots[slot] = stored
+				w.inserts++
+				return false, int(step)
+			}
 			if atomic.CompareAndSwapUint64(&s.slots[slot], 0, stored) {
 				if w != nil {
 					w.inserts++
@@ -230,33 +251,47 @@ func (s *EdgeSet) String() string {
 
 // Writer is a single-worker insertion handle providing per-worker
 // (contention-free) insert accounting. A Writer must be used by one
-// goroutine at a time; distinct Writers on the same EdgeSet may insert
-// concurrently. The struct is padded so adjacent Writers in a slice
-// don't share cache lines.
+// goroutine at a time; distinct Writers of one NewCountingWriters(p > 1)
+// set may insert into the same EdgeSet concurrently.
+//
+// A lone writer — the only Writer of a NewCountingWriters(1) set — is
+// its table's single writer: it claims empty slots with a plain store
+// instead of a CAS. From its first insert until the next Clear or
+// ClearWriters it must be the only goroutine that writes the table, and
+// no goroutine may read the table concurrently with it. Membership
+// answers and insert order are the same on both paths.
+//
+// The struct is padded so adjacent Writers in a slice don't share cache
+// lines.
 //
 //nullgraph:padded
 type Writer struct {
 	set     *EdgeSet
 	inserts int
-	_       [112]byte // pad the 16 data bytes to 128 so neighbouring Writers never share a cache line
+	single  bool      // lone writer: insert with plain stores (see the type doc)
+	_       [111]byte // pad the 17 data bytes to 128 so neighbouring Writers never share a cache line
 }
 
 // NewCountingWriters returns p insertion handles, each counting its own
-// inserts, so the per-insert cost is one local counter increment.
+// inserts, so the per-insert cost is one local counter increment. With
+// p <= 1 the one handle is a lone writer and inserts without a CAS; its
+// caller must keep the single-writer contract in the Writer doc. With
+// p > 1 every handle claims slots by CAS and may run concurrently.
 func (s *EdgeSet) NewCountingWriters(p int) []*Writer {
 	if p < 1 {
 		p = 1
 	}
 	ws := make([]*Writer, p)
 	for i := range ws {
-		ws[i] = &Writer{set: s}
+		ws[i] = &Writer{set: s, single: p == 1}
 	}
 	return ws
 }
 
 // TestAndSet is EdgeSet.TestAndSet through this writer's accounting: a
 // successful insert bumps the per-writer count. No shared state is
-// touched beyond the slot CAS itself.
+// touched beyond the slot itself (a CAS, or a plain store for a lone
+// writer).
 //
 //nullgraph:hotpath
 func (w *Writer) TestAndSet(key uint64) bool {

@@ -220,24 +220,63 @@ func TestAdversarialSameBucketKeys(t *testing.T) {
 	}
 }
 
+// writerPaths names a Writer's two insert paths: "single" is the lone
+// writer of NewCountingWriters(1), which claims a slot with a plain
+// store, and "shared" is writer 0 of NewCountingWriters(2), which claims
+// it by CAS.
+var writerPaths = []string{"single", "shared"}
+
+// newWriters returns the writer set whose writer 0 takes path.
+func newWriters(s *EdgeSet, path string) []*Writer {
+	if path == "single" {
+		return s.NewCountingWriters(1)
+	}
+	return s.NewCountingWriters(2)
+}
+
 func TestOverfullPanics(t *testing.T) {
-	// New(1) has 2 slots and Capacity 1. The plain (counter-free) path
-	// detects overload only when a probe sequence exhausts the table:
+	// New(1) has 2 slots and Capacity 1. Without a CheckLoad, overload
+	// is detected only when a probe sequence exhausts the table:
 	// inserts 2 and 3 violate the load contract, but only insert 3 —
 	// with no empty slot left anywhere — can be detected and must panic
-	// rather than probe forever.
+	// rather than probe forever. This holds for the writer-free table
+	// path and for both writer paths.
 	for _, probing := range []Probing{Linear, Quadratic} {
-		s := New(1, probing)
-		s.TestAndSet(10)
-		s.TestAndSet(20) // past capacity; plain path cannot see it yet
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("probing=%v: insert into full table did not panic", probing)
-				}
+		for _, path := range append([]string{"table"}, writerPaths...) {
+			s := New(1, probing)
+			insert := s.TestAndSet
+			if path != "table" {
+				insert = newWriters(s, path)[0].TestAndSet
+			}
+			insert(10)
+			insert(20) // past capacity; no counter is checked yet
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("probing=%v path=%s: insert into full table did not panic", probing, path)
+					}
+				}()
+				insert(30)
 			}()
-			s.TestAndSet(30)
-		}()
+		}
+	}
+}
+
+func TestOnlyLoneWriterIsSingle(t *testing.T) {
+	// The plain-store path is safe only for a table's one writer, so a
+	// set of p > 1 writers must never take it.
+	s := New(8, Linear)
+	for _, p := range []int{0, 1} {
+		if ws := s.NewCountingWriters(p); len(ws) != 1 || !ws[0].single {
+			t.Errorf("NewCountingWriters(%d): want one single writer", p)
+		}
+	}
+	for _, p := range []int{2, 3, 8} {
+		for i, w := range s.NewCountingWriters(p) {
+			if w.single {
+				t.Errorf("NewCountingWriters(%d): writer %d is single", p, i)
+			}
+		}
 	}
 }
 
@@ -245,38 +284,48 @@ func TestWriterOverCapacityPanics(t *testing.T) {
 	// The Writer path enforces the documented <= 50% load limit
 	// deterministically at the quiescent check, long before the table
 	// is physically full.
-	s := New(4, Linear)
-	ws := s.NewCountingWriters(1)
-	for k := uint64(0); k <= uint64(s.Capacity()); k++ {
-		ws[0].TestAndSet(k * 7919)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("CheckLoad accepted more inserts than Capacity")
+	for _, path := range writerPaths {
+		s := New(4, Linear)
+		ws := newWriters(s, path)
+		for k := uint64(0); k <= uint64(s.Capacity()); k++ {
+			ws[0].TestAndSet(k * 7919)
 		}
-	}()
-	s.CheckLoad(ws)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("path=%s: CheckLoad accepted more inserts than Capacity", path)
+				}
+			}()
+			s.CheckLoad(ws)
+		}()
+	}
 }
 
 func TestWriterSemanticsMatchMap(t *testing.T) {
 	for _, probing := range []Probing{Linear, Quadratic} {
-		s := New(512, probing)
-		ws := s.NewCountingWriters(1)
-		w := ws[0]
-		ref := map[uint64]bool{}
-		r := rng.New(41)
-		for i := 0; i < 500; i++ {
-			key := r.Uint64n(300)
-			if got := w.TestAndSet(key); got != ref[key] {
-				t.Fatalf("probing=%v: Writer.TestAndSet(%d) = %v, want %v", probing, key, got, ref[key])
+		for _, path := range writerPaths {
+			s := New(512, probing)
+			w := newWriters(s, path)[0]
+			ref := map[uint64]bool{}
+			r := rng.New(41)
+			for i := 0; i < 500; i++ {
+				key := r.Uint64n(300)
+				if got := w.TestAndSet(key); got != ref[key] {
+					t.Fatalf("probing=%v path=%s: Writer.TestAndSet(%d) = %v, want %v", probing, path, key, got, ref[key])
+				}
+				ref[key] = true
 			}
-			ref[key] = true
-		}
-		if w.Inserts() != len(ref) {
-			t.Errorf("probing=%v: Inserts = %d, want %d", probing, w.Inserts(), len(ref))
-		}
-		if s.Len() != len(ref) {
-			t.Errorf("probing=%v: Len = %d, want %d", probing, s.Len(), len(ref))
+			if w.Inserts() != len(ref) {
+				t.Errorf("probing=%v path=%s: Inserts = %d, want %d", probing, path, w.Inserts(), len(ref))
+			}
+			if s.Len() != len(ref) {
+				t.Errorf("probing=%v path=%s: Len = %d, want %d", probing, path, s.Len(), len(ref))
+			}
+			for key := range ref {
+				if !s.Contains(key) {
+					t.Errorf("probing=%v path=%s: lost key %d", probing, path, key)
+				}
+			}
 		}
 	}
 }
@@ -375,28 +424,30 @@ func TestTestAndSetProbedMatchesPlain(t *testing.T) {
 	// counts must be >= 1, equal 1 on an uncontended first-probe hit,
 	// and exceed 1 for a key whose home slot is occupied by another key.
 	for _, probing := range []Probing{Linear, Quadratic} {
-		s := New(64, probing)
-		ws := s.NewCountingWriters(1)
-		ref := New(64, probing)
-		rws := ref.NewCountingWriters(1)
-		for k := uint64(0); k < uint64(s.Capacity()); k++ {
-			key := k * 0x9e3779b9
-			present, probes := ws[0].TestAndSetProbed(key)
-			if probes < 1 {
-				t.Fatalf("probing=%v: probe count %d < 1", probing, probes)
+		for _, path := range writerPaths {
+			s := New(64, probing)
+			ws := newWriters(s, path)
+			ref := New(64, probing)
+			rws := newWriters(ref, path)
+			for k := uint64(0); k < uint64(s.Capacity()); k++ {
+				key := k * 0x9e3779b9
+				present, probes := ws[0].TestAndSetProbed(key)
+				if probes < 1 {
+					t.Fatalf("probing=%v path=%s: probe count %d < 1", probing, path, probes)
+				}
+				if want := rws[0].TestAndSet(key); present != want {
+					t.Fatalf("probing=%v path=%s: probed insert of %d = %v, plain = %v", probing, path, key, present, want)
+				}
 			}
-			if want := rws[0].TestAndSet(key); present != want {
-				t.Fatalf("probing=%v: probed insert of %d = %v, plain = %v", probing, key, present, want)
+			if ws[0].Inserts() != rws[0].Inserts() {
+				t.Fatalf("probing=%v path=%s: probed writer counted %d inserts, plain %d",
+					probing, path, ws[0].Inserts(), rws[0].Inserts())
 			}
-		}
-		if ws[0].Inserts() != rws[0].Inserts() {
-			t.Fatalf("probing=%v: probed writer counted %d inserts, plain %d",
-				probing, ws[0].Inserts(), rws[0].Inserts())
-		}
-		// Re-testing a present key still reports its probe cost.
-		present, probes := ws[0].TestAndSetProbed(0)
-		if !present || probes < 1 {
-			t.Errorf("probing=%v: re-test of present key = (%v, %d)", probing, present, probes)
+			// Re-testing a present key still reports its probe cost.
+			present, probes := ws[0].TestAndSetProbed(0)
+			if !present || probes < 1 {
+				t.Errorf("probing=%v path=%s: re-test of present key = (%v, %d)", probing, path, present, probes)
+			}
 		}
 	}
 }
@@ -455,6 +506,36 @@ func BenchmarkClearFullSweep(b *testing.B) {
 		}
 		b.StartTimer()
 		s.Clear(0)
+	}
+}
+
+// BenchmarkWriterTestAndSet times random inserts at swap-engine load:
+// m = 194k keys (gen-skewed's edge count) into a table sized for 2m,
+// through a lone writer's plain store ("single") and through writer 0
+// of a two-writer set, whose CAS is uncontended ("shared"). ns/key is
+// the cost of one insert.
+func BenchmarkWriterTestAndSet(b *testing.B) {
+	const m = 194_000
+	keys := make([]uint64, m)
+	r := rng.New(5)
+	for i := range keys {
+		keys[i] = r.Uint64()
+	}
+	for _, path := range writerPaths {
+		b.Run(path, func(b *testing.B) {
+			s := New(2*m, Linear)
+			ws := newWriters(s, path)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s.ClearWriters(ws, 1)
+				b.StartTimer()
+				for _, k := range keys {
+					ws[0].TestAndSet(k)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/key")
+		})
 	}
 }
 

@@ -48,9 +48,12 @@
 // counters, the permutation target array, per-worker padded
 // accumulators, a persistent worker pool — so after the first Step on a
 // given size, Step performs no heap allocations and the only
-// cross-worker atomics are the edge table's CAS slots. Step must not be
-// called concurrently with itself or with any other method of the same
-// Engine.
+// cross-worker atomics are the edge table's CAS slots. A one-worker
+// engine's table has a single writer (hashtable.NewCountingWriters(1)),
+// which inserts with plain stores and no CAS at all; nothing else
+// touches the table while a Step runs, which is the single-writer
+// contract. Step must not be called concurrently with itself or with
+// any other method of the same Engine.
 package swap
 
 import (
