@@ -6,6 +6,7 @@ import (
 	"nullgraph/internal/connected"
 	"nullgraph/internal/degseq"
 	"nullgraph/internal/graph"
+	"nullgraph/internal/rng"
 )
 
 func connectedStart(t *testing.T, degrees []int64) *graph.EdgeList {
@@ -145,5 +146,49 @@ func TestConnectedReset(t *testing.T) {
 	}
 	if first.Proposals == 0 {
 		t.Fatal("first run recorded no proposals")
+	}
+}
+
+// treePlusChords builds a sparse connected simple graph on n vertices
+// with m edges: a random recursive tree (vertex i hangs under a
+// uniform earlier vertex) plus uniform chords, loops and duplicates
+// redrawn. The same seed always yields the same edge list.
+func treePlusChords(n, m int, seed uint64) *graph.EdgeList {
+	src := rng.New(seed)
+	edges := make([]graph.Edge, 0, m)
+	seen := make(map[uint64]bool, m)
+	for i := 1; i < n; i++ {
+		e := graph.Edge{U: int32(src.Uint64n(uint64(i))), V: int32(i)}
+		seen[e.Key()] = true
+		edges = append(edges, e)
+	}
+	for len(edges) < m {
+		e := graph.Edge{U: int32(src.Uint64n(uint64(n))), V: int32(src.Uint64n(uint64(n)))}
+		if e.IsLoop() || seen[e.Key()] {
+			continue
+		}
+		seen[e.Key()] = true
+		edges = append(edges, e)
+	}
+	return graph.NewEdgeList(edges, n)
+}
+
+// TestGoldenConnectedChain pins the exact output of the serial
+// connected chain on a sparse connected graph (tree plus chords), where
+// most proposals remove a witness-tree edge and go through the bounded
+// search. The connectivity verdicts are exact whatever the checker's
+// internal witness looks like, so any change to how the witness is
+// kept must leave this hash alone. The chain is serial, so Workers=4
+// must give the same hash as Workers=1.
+func TestGoldenConnectedChain(t *testing.T) {
+	const want = uint64(0xd8b49d4c51cee8de)
+	for _, workers := range []int{1, 4} {
+		el := treePlusChords(1024, 2048, 5)
+		eng := NewEngine(el, Options{Connected: true, Iterations: 4, Workers: workers, Seed: 11})
+		eng.Run(eng.opt.Iterations, nil)
+		eng.Close()
+		if got := edgeHash(el); got != want {
+			t.Errorf("workers=%d: connected chain output hash = %#x, want %#x", workers, got, want)
+		}
 	}
 }
