@@ -27,10 +27,20 @@
 //     both frontiers are alive is inconclusive; fall back to one full
 //     BFS from vertex 0.
 //
-// Accepting a swap that touched the tree rebuilds the witness (one
-// BFS); a belt-and-braces full recheck runs every recheckEvery accepted
-// swaps and panics on an invariant breach. DESIGN.md §16 tabulates the
-// cost model.
+// Accepting a swap that touched the tree repairs the witness locally:
+// each removed tree edge detaches its child's subtree, and an edge of
+// the new graph that crosses that cut (g or h, else the first crossing
+// edge on the path the bounded search found) re-attaches it after the
+// subtree is re-rooted at the crossing edge's inner end. The witness
+// stays a spanning tree, though no longer a BFS tree. The witness is
+// rebuilt as a BFS tree instead when a search fell through to the full
+// BFS, which saves no path but leaves its own BFS tree to adopt, or
+// when a subtree-membership walk up the parent pointers runs past the
+// search budget, which costs one more BFS and bounds how deep the tree
+// can drift. A belt-and-braces full recheck runs every
+// recheckEvery accepted swaps: it verifies connectivity and that the
+// witness is a spanning tree of the current graph, and panics on an
+// invariant breach. DESIGN.md §16 tabulates the cost model.
 //
 // The Checker is not safe for concurrent use; the serial connected
 // chain in internal/swap owns one per engine.
@@ -38,6 +48,7 @@ package connected
 
 import (
 	"fmt"
+	"slices"
 
 	"nullgraph/internal/graph"
 )
@@ -47,7 +58,8 @@ const (
 	// bidirectional search before it falls back to a full BFS. Most
 	// swap-local disconnections are small cycles split off the giant
 	// component, so a small budget resolves the overwhelming majority
-	// of tree-touching proposals without an O(n+m) traversal.
+	// of tree-touching proposals without an O(n+m) traversal. It also
+	// caps each parent-pointer walk of the witness repair.
 	defaultBound = 256
 	// defaultRecheckEvery is the accepted-swap period of the
 	// belt-and-braces full connectivity recheck.
@@ -69,8 +81,9 @@ type Stats struct {
 	// FullChecks counts full-BFS fallbacks (inconclusive bounded
 	// searches and explicit Connected() calls).
 	FullChecks int64
-	// WitnessRebuilds counts spanning-tree reconstructions after
-	// accepted tree-touching swaps.
+	// WitnessRebuilds counts full-BFS spanning-tree reconstructions
+	// after accepted tree-touching swaps that the local repair could
+	// not settle.
 	WitnessRebuilds int64
 	// RejectedDisconnecting counts proposals rejected because they
 	// would have disconnected the graph.
@@ -96,17 +109,28 @@ type Checker struct {
 	nbr []int32
 	deg []int32
 
-	// parent is the BFS witness tree (parent[root] == -1). An edge
-	// (u,v) is a tree edge iff parent[u] == v or parent[v] == u.
+	// parent is the spanning-tree witness (parent[root] == -1). An
+	// edge (u,v) is a tree edge iff parent[u] == v or parent[v] == u.
 	parent []int32
 
 	// BFS scratch: stamp holds per-vertex visit epochs (two fresh
 	// epochs per bidirectional search, one per side), queues are
-	// reused frontier storage.
+	// reused frontier storage, and pred[y] is the vertex whose
+	// expansion first reached y in the latest search (bounded or full).
 	stamp  []uint64
 	epoch  uint64
 	queueA []int32
 	queueB []int32
+	pred   []int32
+
+	// path holds the connecting paths the bounded searches of the
+	// current proposal found, one per removed tree edge t, each running
+	// t.U … t.V: the i-th removed edge's path ends at pathEnd[i] and
+	// starts where the previous one ended (empty for a non-tree edge).
+	// pathsSaved is false when a search fell through to the full BFS.
+	path       []int32
+	pathEnd    [2]int
+	pathsSaved bool
 
 	// bound and recheckEvery are defaultBound/defaultRecheckEvery;
 	// tests shrink them to force the slow paths.
@@ -137,11 +161,19 @@ func (c *Checker) Bind(el *graph.EdgeList) error {
 	if cap(c.deg) < n {
 		c.deg = make([]int32, n)
 		c.parent = make([]int32, n)
+		c.pred = make([]int32, n)
 		c.stamp = make([]uint64, n)
 		c.epoch = 0
+		// A BFS queue holds each vertex at most once, and each saved
+		// path holds distinct vertices; sizing them here keeps
+		// SwapKeepsConnected allocation-free.
+		c.queueA = make([]int32, 0, n)
+		c.queueB = make([]int32, 0, n)
+		c.path = make([]int32, 0, 2*n)
 	}
 	c.deg = c.deg[:n]
 	c.parent = c.parent[:n]
+	c.pred = c.pred[:n]
 	c.stamp = c.stamp[:n]
 	clear(c.deg)
 	for _, e := range el.Edges {
@@ -166,7 +198,9 @@ func (c *Checker) Bind(el *graph.EdgeList) error {
 	}
 	c.accepted = 0
 	c.stats = Stats{}
-	if reached := c.rebuildWitness(); reached < n {
+	reached := c.fullReach()
+	c.parent, c.pred = c.pred, c.parent
+	if reached < n {
 		return fmt.Errorf("connected: input graph is disconnected (%d of %d vertices reachable from 0); repair it with connected.Connect first", reached, n)
 	}
 	return nil
@@ -228,8 +262,15 @@ func (c *Checker) SwapKeepsConnected(e, f, g, h graph.Edge) bool {
 	// A removed edge is a tree edge: apply tentatively and verify.
 	c.apply(e, f, g, h)
 	if c.stillConnected(e, f) {
-		c.stats.WitnessRebuilds++
-		c.rebuildWitness()
+		if !c.repairWitness(e, f, g, h) {
+			// Rebuild. A full BFS that settled the verdict has already
+			// left a BFS tree of this graph in pred.
+			c.stats.WitnessRebuilds++
+			if c.pathsSaved {
+				c.fullReach()
+			}
+			c.parent, c.pred = c.pred, c.parent
+		}
 		c.maybeRecheck()
 		return true
 	}
@@ -243,9 +284,13 @@ func (c *Checker) SwapKeepsConnected(e, f, g, h graph.Edge) bool {
 // keep each tree fragment internally connected, so reconnecting every
 // removed tree edge's endpoint pair re-links the fragments along the
 // old tree topology (see the package doc); any pair that fails to
-// reconnect is a proven disconnection.
+// reconnect is a proven disconnection. Each conclusive search saves
+// its connecting path for repairWitness.
 func (c *Checker) stillConnected(e, f graph.Edge) bool {
-	for _, t := range [2]graph.Edge{e, f} {
+	c.path = c.path[:0]
+	c.pathsSaved = true
+	for i, t := range [2]graph.Edge{e, f} {
+		c.pathEnd[i] = len(c.path)
 		if c.parent[t.U] != t.V && c.parent[t.V] != t.U {
 			continue // not a tree edge: no fragment boundary here
 		}
@@ -255,8 +300,10 @@ func (c *Checker) stillConnected(e, f graph.Edge) bool {
 		case 0:
 			// Inconclusive: one full BFS settles everything at once.
 			c.stats.FullChecks++
+			c.pathsSaved = false
 			return c.fullReach() == c.n
 		}
+		c.pathEnd[i] = len(c.path)
 	}
 	return true
 }
@@ -287,10 +334,12 @@ func (c *Checker) boundedReconnect(u, v int32) int {
 			for _, y := range c.nbr[c.off[x] : c.off[x]+int64(c.deg[x])] {
 				if c.stamp[y] == eb {
 					c.stats.BoundedConclusive++
+					c.savePath(u, x, y, v)
 					return 1
 				}
 				if c.stamp[y] != ea {
 					c.stamp[y] = ea
+					c.pred[y] = x
 					c.queueA = append(c.queueA, y)
 					visited++
 				}
@@ -301,10 +350,12 @@ func (c *Checker) boundedReconnect(u, v int32) int {
 			for _, y := range c.nbr[c.off[x] : c.off[x]+int64(c.deg[x])] {
 				if c.stamp[y] == ea {
 					c.stats.BoundedConclusive++
+					c.savePath(u, y, x, v)
 					return 1
 				}
 				if c.stamp[y] != eb {
 					c.stamp[y] = eb
+					c.pred[y] = x
 					c.queueB = append(c.queueB, y)
 					visited++
 				}
@@ -317,8 +368,136 @@ func (c *Checker) boundedReconnect(u, v int32) int {
 	return -1
 }
 
+// savePath appends the path u … a, b … v to c.path, where the meeting
+// edge (a, b) joins u's side (a) to v's side (b) and pred leads each
+// side's vertices back to its start.
+func (c *Checker) savePath(u, a, b, v int32) {
+	start := len(c.path)
+	for w := a; ; w = c.pred[w] {
+		c.path = append(c.path, w)
+		if w == u {
+			break
+		}
+	}
+	slices.Reverse(c.path[start:])
+	for w := b; ; w = c.pred[w] {
+		c.path = append(c.path, w)
+		if w == v {
+			break
+		}
+	}
+}
+
+// repairWitness restores the witness after an accepted swap that
+// removed tree edges (e, then f, whichever are tree edges), by
+// re-attaching each detached subtree through an edge of the new graph.
+// It reports false when the caller must rebuild the witness instead:
+// a search fell through to the full BFS and saved no path, or a
+// subtree-membership walk ran past the search budget.
+//
+// Each repair keeps the witness a spanning tree of the graph that
+// still holds the edges not yet repaired, so the removed edges are
+// taken one at a time: the new graph is connected, hence some edge of
+// it crosses the cut that removing t leaves in the current tree, and
+// the path the search found from t.U to t.V is one such candidate set.
+func (c *Checker) repairWitness(e, f, g, h graph.Edge) bool {
+	if !c.pathsSaved {
+		return false
+	}
+	start := 0
+	for i, t := range [2]graph.Edge{e, f} {
+		p := c.path[start:c.pathEnd[i]]
+		start = c.pathEnd[i]
+		if len(p) == 0 {
+			continue // not a tree edge
+		}
+		if !c.relink(t, g, h, p) {
+			return false
+		}
+	}
+	return true
+}
+
+// relink replaces tree edge t, absent from the graph, with a graph edge
+// (x, y) that crosses the cut t leaves: x in the subtree of t's child
+// endpoint, y outside it. It tries g and h first, then the edges of
+// path (t.U … t.V) in order, re-roots the subtree at x by reversing the
+// parent pointers from x up to the child, and hangs x under y.
+func (c *Checker) relink(t, g, h graph.Edge, path []int32) bool {
+	child := t.V
+	if c.parent[t.U] == t.V {
+		child = t.U
+	}
+	x, y := int32(-1), int32(-1)
+	for _, r := range [2]graph.Edge{g, h} {
+		a, b := c.inSubtree(r.U, child), c.inSubtree(r.V, child)
+		if a < 0 || b < 0 {
+			return false
+		}
+		if a != b {
+			x, y = r.U, r.V
+			if b == 1 {
+				x, y = r.V, r.U
+			}
+			break
+		}
+	}
+	if x < 0 {
+		prev := 0
+		if path[0] == child {
+			prev = 1
+		}
+		for i := 1; i < len(path); i++ {
+			side := c.inSubtree(path[i], child)
+			if side < 0 {
+				return false
+			}
+			if side != prev {
+				x, y = path[i-1], path[i]
+				if side == 1 {
+					x, y = path[i], path[i-1]
+				}
+				break
+			}
+		}
+		if x < 0 {
+			return false // unreachable while the witness is a spanning tree
+		}
+	}
+	prev, w := y, x
+	for w != child {
+		up := c.parent[w]
+		c.parent[w] = prev
+		prev, w = w, up
+	}
+	c.parent[child] = prev
+	return true
+}
+
+// inSubtree walks parent pointers up from v and returns 1 when it
+// reaches child (v is in child's subtree), 0 when it reaches the root
+// first, and -1 when it gives up after bound steps.
+func (c *Checker) inSubtree(v, child int32) int {
+	for steps := 0; ; steps++ {
+		if v == child {
+			return 1
+		}
+		up := c.parent[v]
+		if up < 0 {
+			return 0
+		}
+		if steps == c.bound {
+			return -1
+		}
+		v = up
+	}
+}
+
 // fullReach BFS-explores from vertex 0 and returns the number of
-// vertices reached (n means connected; 0 for the empty graph).
+// vertices reached (n means connected; 0 for the empty graph). It
+// leaves the BFS tree of the reached vertices in pred (pred[0] == -1),
+// so a connected graph's witness can be rebuilt by swapping pred and
+// parent.
 func (c *Checker) fullReach() int {
 	if c.n == 0 {
 		return 0
@@ -327,40 +506,14 @@ func (c *Checker) fullReach() int {
 	e := c.epoch
 	c.queueA = append(c.queueA[:0], 0)
 	c.stamp[0] = e
+	c.pred[0] = -1
 	reached := 1
 	for head := 0; head < len(c.queueA); head++ {
 		x := c.queueA[head]
 		for _, y := range c.nbr[c.off[x] : c.off[x]+int64(c.deg[x])] {
 			if c.stamp[y] != e {
 				c.stamp[y] = e
-				c.queueA = append(c.queueA, y)
-				reached++
-			}
-		}
-	}
-	return reached
-}
-
-// rebuildWitness recomputes the BFS spanning tree from vertex 0 and
-// returns the number of vertices reached.
-func (c *Checker) rebuildWitness() int {
-	if c.n == 0 {
-		return 0
-	}
-	for v := range c.parent {
-		c.parent[v] = -1
-	}
-	c.epoch++
-	e := c.epoch
-	c.queueA = append(c.queueA[:0], 0)
-	c.stamp[0] = e
-	reached := 1
-	for head := 0; head < len(c.queueA); head++ {
-		x := c.queueA[head]
-		for _, y := range c.nbr[c.off[x] : c.off[x]+int64(c.deg[x])] {
-			if c.stamp[y] != e {
-				c.stamp[y] = e
-				c.parent[y] = x
+				c.pred[y] = x
 				c.queueA = append(c.queueA, y)
 				reached++
 			}
@@ -380,6 +533,59 @@ func (c *Checker) maybeRecheck() {
 	if c.fullReach() != c.n {
 		panic("connected: periodic full recheck found a disconnected graph (checker invariant breached)")
 	}
+	if fault := c.witnessFault(); fault != "" {
+		panic("connected: periodic full recheck: the witness " + fault + " (checker invariant breached)")
+	}
+}
+
+// witnessFault returns how the parent array fails to be a spanning
+// tree of the current adjacency, or "" when it is one: exactly one
+// root, every (v, parent[v]) a current edge, and no cycle, so every
+// walk up the parent pointers ends at the root.
+func (c *Checker) witnessFault() string {
+	if c.n == 0 {
+		return ""
+	}
+	roots := 0
+	for v, p := range c.parent {
+		if p < 0 {
+			roots++
+		} else if !c.hasArc(int32(v), p) {
+			return fmt.Sprintf("holds (%d,%d), which is not an edge", v, p)
+		}
+	}
+	if roots != 1 {
+		return fmt.Sprintf("has %d roots", roots)
+	}
+	// Stamp vertices known to reach the root with done, and the
+	// current walk with a fresh epoch: meeting the walk's own epoch
+	// again is a cycle.
+	c.epoch++
+	done := c.epoch
+	for v, p := range c.parent {
+		if p < 0 {
+			c.stamp[v] = done
+		}
+	}
+	for v := range c.parent {
+		c.epoch++
+		w := int32(v)
+		for c.stamp[w] != done {
+			if c.stamp[w] == c.epoch {
+				return fmt.Sprintf("has a cycle through vertex %d", w)
+			}
+			c.stamp[w] = c.epoch
+			w = c.parent[w]
+		}
+		for w = int32(v); c.stamp[w] != done; w = c.parent[w] {
+			c.stamp[w] = done
+		}
+	}
+	return ""
+}
+
+func (c *Checker) hasArc(u, v int32) bool {
+	return slices.Contains(c.nbr[c.off[u]:c.off[u]+int64(c.deg[u])], v)
 }
 
 // apply replaces edges e and f with g and h in the adjacency.

@@ -214,10 +214,50 @@ func validProposal(el *graph.EdgeList, i, j int, g, h graph.Edge) bool {
 	return true
 }
 
+// assertWitness checks the checker's witness against el, independently
+// of the checker's own recheck: exactly one root, every (v, parent[v])
+// an edge of el, and every walk up the parent pointers ending at the
+// root.
+func assertWitness(t *testing.T, c *Checker, el *graph.EdgeList) {
+	t.Helper()
+	edges := make(map[uint64]bool, len(el.Edges))
+	for _, e := range el.Edges {
+		edges[e.Key()] = true
+	}
+	roots := 0
+	for v, p := range c.parent {
+		if p < 0 {
+			roots++
+		} else if !edges[graph.Edge{U: int32(v), V: p}.Key()] {
+			t.Fatalf("witness holds (%d,%d), which is not an edge", v, p)
+		}
+	}
+	if roots != 1 {
+		t.Fatalf("witness has %d roots, want 1", roots)
+	}
+	// walk[v] is 0 while unseen, -1 once v is known to reach the root,
+	// and the 1-based start vertex of the walk in progress otherwise.
+	walk := make([]int, len(c.parent))
+	for v := range c.parent {
+		w := int32(v)
+		for c.parent[w] >= 0 && walk[w] != -1 {
+			if walk[w] == v+1 {
+				t.Fatalf("witness has a cycle through vertex %d", w)
+			}
+			walk[w] = v + 1
+			w = c.parent[w]
+		}
+		for w = int32(v); c.parent[w] >= 0 && walk[w] != -1; w = c.parent[w] {
+			walk[w] = -1
+		}
+	}
+}
+
 // TestCheckerMatchesGroundTruth exhaustively proposes every legal swap
 // on several small connected graphs and checks the verdict against a
 // from-scratch component count of the post-swap graph, at the default
-// budget and at a tiny budget that forces the full-BFS fallback.
+// budget and at a tiny budget that forces the full-BFS fallback. Every
+// accepted swap must leave the witness a spanning tree of the new graph.
 func TestCheckerMatchesGroundTruth(t *testing.T) {
 	starts := []*graph.EdgeList{cycle(6), cycle(8)}
 	if el, err := Realize(mustDist(t, []int64{3, 3, 3, 3, 3, 3, 3, 3})); err != nil {
@@ -262,6 +302,9 @@ func TestCheckerMatchesGroundTruth(t *testing.T) {
 						if got && !c.Connected() {
 							t.Fatal("checker adjacency inconsistent after accepted swap")
 						}
+						if got {
+							assertWitness(t, c, el)
+						}
 					}
 				}
 			}
@@ -275,7 +318,8 @@ func TestCheckerMatchesGroundTruth(t *testing.T) {
 
 // TestCheckerRandomChain runs a long random swap chain on a cubic
 // graph with the recheck forced every accepted swap, so the internal
-// invariant panic would fire on any bookkeeping bug.
+// invariant panic would fire on any bookkeeping bug, and validates the
+// witness independently after every accepted swap.
 func TestCheckerRandomChain(t *testing.T) {
 	degrees := []int64{3, 3, 3, 3, 3, 3, 3, 3, 3, 3}
 	el, err := Realize(mustDist(t, degrees))
@@ -287,10 +331,57 @@ func TestCheckerRandomChain(t *testing.T) {
 	if err := c.Bind(el); err != nil {
 		t.Fatalf("Bind: %v", err)
 	}
-	src := rng.New(42)
+	accepted := randomChain(t, c, el, 42, 4000)
+	assertConnectedSimple(t, el, degrees)
+	st := c.StatsSnapshot()
+	if st.FullRechecks != int64(accepted) {
+		t.Fatalf("FullRechecks = %d, want %d (one per accepted swap)", st.FullRechecks, accepted)
+	}
+	if st.FastPathHits == 0 || st.BoundedChecks == 0 {
+		t.Fatalf("expected both fast-path and bounded-path traffic, got %+v", st)
+	}
+}
+
+// TestCheckerPathLikeChain runs a long random chain on a sequence of
+// mostly degree-2 vertices: its spanning trees are deep paths, so
+// most subtree-membership walks of the witness repair run past the
+// search budget and fall back to a full rebuild, while swaps near the
+// root are still repaired locally.
+func TestCheckerPathLikeChain(t *testing.T) {
+	degrees := make([]int64, 1000)
+	for v := range degrees {
+		degrees[v] = 2
+		if v%50 == 0 {
+			degrees[v] = 3
+		}
+	}
+	el, err := Realize(mustDist(t, degrees))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewChecker()
+	c.SetRecheckEvery(97)
+	if err := c.Bind(el); err != nil {
+		t.Fatalf("Bind: %v", err)
+	}
+	accepted := randomChain(t, c, el, 7, 6000)
+	assertConnectedSimple(t, el, degrees)
+	st := c.StatsSnapshot()
+	treeTouching := int64(accepted) - st.FastPathHits
+	if st.WitnessRebuilds == 0 || st.WitnessRebuilds >= treeTouching {
+		t.Fatalf("want both local repairs and rebuilds among %d tree-touching accepts, got %+v", treeTouching, st)
+	}
+}
+
+// randomChain proposes steps uniform random swaps on el, applies the
+// ones c accepts to el, validates the witness after each, and returns
+// the number accepted.
+func randomChain(t *testing.T, c *Checker, el *graph.EdgeList, seed uint64, steps int) int {
+	t.Helper()
+	src := rng.New(seed)
 	m := uint64(len(el.Edges))
 	accepted := 0
-	for step := 0; step < 4000; step++ {
+	for step := 0; step < steps; step++ {
 		i, j := int(src.Uint64n(m)), int(src.Uint64n(m))
 		e, f := el.Edges[i], el.Edges[j]
 		var g, h graph.Edge
@@ -305,42 +396,193 @@ func TestCheckerRandomChain(t *testing.T) {
 		if c.SwapKeepsConnected(e, f, g, h) {
 			el.Edges[i], el.Edges[j] = g, h
 			accepted++
+			assertWitness(t, c, el)
 		}
 	}
 	if accepted == 0 {
 		t.Fatal("chain never accepted a swap")
 	}
-	assertConnectedSimple(t, el, degrees)
-	st := c.StatsSnapshot()
-	if st.FullRechecks != int64(accepted) {
-		t.Fatalf("FullRechecks = %d, want %d (one per accepted swap)", st.FullRechecks, accepted)
-	}
-	if st.FastPathHits == 0 || st.BoundedChecks == 0 {
-		t.Fatalf("expected both fast-path and bounded-path traffic, got %+v", st)
-	}
+	return accepted
 }
 
 // TestCheckerStatsPaths pins which counters each check tier bumps.
 func TestCheckerStatsPaths(t *testing.T) {
-	// Theta graph: C6 plus chord (0,3). The chord is a non-tree edge.
-	el := cycle(6)
-	el.Edges = append(el.Edges, graph.Edge{U: 0, V: 3})
-	el = graph.NewEdgeList(el.Edges, 6)
-	c := NewChecker()
-	if err := c.Bind(el); err != nil {
-		t.Fatalf("Bind: %v", err)
+	// Theta graph: C6 plus chord (0,3). Swapping the tree edges (1,2)
+	// and (4,5) of the BFS witness into (1,4),(2,5) stays connected
+	// thanks to the chord.
+	theta := func() *graph.EdgeList {
+		el := cycle(6)
+		return graph.NewEdgeList(append(el.Edges, graph.Edge{U: 0, V: 3}), 6)
 	}
-	// Swapping two tree edges of C6 stays connected thanks to the
-	// chord: remove (1,2),(4,5), add (1,4),(2,5).
 	e, f := graph.Edge{U: 1, V: 2}, graph.Edge{U: 4, V: 5}
 	g, h := graph.Edge{U: 1, V: 4}, graph.Edge{U: 2, V: 5}
-	if !c.SwapKeepsConnected(e, f, g, h) {
-		t.Fatal("connectivity-preserving swap rejected")
+	for _, tc := range []struct {
+		name     string
+		bound    int
+		rebuilds int64
+	}{
+		// Both bounded searches conclude, and g and h each cross the
+		// cut their removed edge leaves: repaired locally.
+		{"repaired", defaultBound, 0},
+		// A budget of 2 leaves the searches inconclusive; the full BFS
+		// that settles them saves no path, so the witness is rebuilt.
+		{"rebuilt", 0, 1},
+	} {
+		el := theta()
+		c := NewChecker()
+		c.SetBound(tc.bound)
+		if err := c.Bind(el); err != nil {
+			t.Fatalf("%s: Bind: %v", tc.name, err)
+		}
+		if c.parent[2] != 1 || c.parent[4] != 5 {
+			t.Fatalf("%s: (1,2) and (4,5) are not both witness edges: parent %v", tc.name, c.parent)
+		}
+		if !c.SwapKeepsConnected(e, f, g, h) {
+			t.Fatalf("%s: connectivity-preserving swap rejected", tc.name)
+		}
+		st := c.StatsSnapshot()
+		if st.FastPathHits != 0 || st.BoundedChecks == 0 || st.WitnessRebuilds != tc.rebuilds {
+			t.Fatalf("%s: tree-touching accept took wrong path: %+v", tc.name, st)
+		}
+		el.Edges[1], el.Edges[4] = g, h
+		assertWitness(t, c, el)
+	}
+}
+
+// TestRecheckPanicsOnBrokenWitness pins that the periodic recheck
+// verifies the witness, not only connectivity: each corruption of a
+// cycle's BFS tree must panic.
+func TestRecheckPanicsOnBrokenWitness(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		v, parent int32
+	}{
+		{"absent edge", 3, 0},
+		{"second root", 3, -1},
+		{"cycle", 1, 2},
+	} {
+		c := NewChecker()
+		c.SetRecheckEvery(1)
+		if err := c.Bind(cycle(6)); err != nil {
+			t.Fatalf("Bind: %v", err)
+		}
+		c.parent[tc.v] = tc.parent
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: recheck did not panic on witness %v", tc.name, c.parent)
+				}
+			}()
+			c.maybeRecheck()
+		}()
+	}
+}
+
+// TestSwapKeepsConnectedDoesNotAllocate pins that every path of the
+// check (fast path, bounded searches, local repair, rollback, full
+// fallback and rebuild, recheck) allocates nothing after Bind. Each
+// accepted proposal is undone by its inverse, so the same proposal
+// list stays legal on every run.
+func TestSwapKeepsConnectedDoesNotAllocate(t *testing.T) {
+	el := treePlusChords(256, 400, 3)
+	type proposal struct{ e, f, g, h graph.Edge }
+	var props []proposal
+	src := rng.New(9)
+	m := uint64(len(el.Edges))
+	for len(props) < 200 {
+		i, j := int(src.Uint64n(m)), int(src.Uint64n(m))
+		e, f := el.Edges[i], el.Edges[j]
+		g, h := graph.Edge{U: e.U, V: f.U}, graph.Edge{U: e.V, V: f.V}
+		if src.Bool() {
+			g, h = graph.Edge{U: e.U, V: f.V}, graph.Edge{U: e.V, V: f.U}
+		}
+		if validProposal(el, i, j, g, h) {
+			props = append(props, proposal{e, f, g, h})
+		}
+	}
+	for _, bound := range []int{0, defaultBound} {
+		c := NewChecker()
+		c.SetBound(bound)
+		c.SetRecheckEvery(5)
+		if err := c.Bind(el); err != nil {
+			t.Fatalf("Bind: %v", err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			for _, p := range props {
+				if c.SwapKeepsConnected(p.e, p.f, p.g, p.h) {
+					c.SwapKeepsConnected(p.g, p.h, p.e, p.f)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("bound %d: SwapKeepsConnected allocated %v times per run", bound, allocs)
+		}
+		if st := c.StatsSnapshot(); st.RejectedDisconnecting == 0 || st.BoundedChecks == 0 {
+			t.Errorf("bound %d: proposals missed a check path: %+v", bound, st)
+		}
+	}
+}
+
+// treePlusChords builds a sparse connected simple graph on n vertices
+// with m edges: a random recursive tree plus uniform chords, loops and
+// duplicates redrawn.
+func treePlusChords(n, m int, seed uint64) *graph.EdgeList {
+	src := rng.New(seed)
+	edges := make([]graph.Edge, 0, m)
+	seen := make(map[uint64]bool, m)
+	for i := 1; i < n; i++ {
+		e := graph.Edge{U: int32(src.Uint64n(uint64(i))), V: int32(i)}
+		seen[e.Key()] = true
+		edges = append(edges, e)
+	}
+	for len(edges) < m {
+		e := graph.Edge{U: int32(src.Uint64n(uint64(n))), V: int32(src.Uint64n(uint64(n)))}
+		if e.IsLoop() || seen[e.Key()] {
+			continue
+		}
+		seen[e.Key()] = true
+		edges = append(edges, e)
+	}
+	return graph.NewEdgeList(edges, n)
+}
+
+// BenchmarkCheckerSparseChain times one proposal of a random swap chain
+// through the checker on a sparse connected graph (2048 vertices, 4096
+// edges), where most proposals remove a witness-tree edge. The
+// simplicity filter is a map lookup, as cheap as the engine's.
+func BenchmarkCheckerSparseChain(b *testing.B) {
+	el := treePlusChords(2048, 4096, 1)
+	keys := make(map[uint64]bool, len(el.Edges))
+	for _, e := range el.Edges {
+		keys[e.Key()] = true
+	}
+	c := NewChecker()
+	if err := c.Bind(el); err != nil {
+		b.Fatal(err)
+	}
+	src := rng.New(1)
+	m := uint64(len(el.Edges))
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		i, j := int(src.Uint64n(m)), int(src.Uint64n(m))
+		e, f := el.Edges[i], el.Edges[j]
+		g, h := graph.Edge{U: e.U, V: f.U}, graph.Edge{U: e.V, V: f.V}
+		if src.Bool() {
+			g, h = graph.Edge{U: e.U, V: f.V}, graph.Edge{U: e.V, V: f.U}
+		}
+		if i == j || g.IsLoop() || h.IsLoop() || g.Key() == h.Key() || keys[g.Key()] || keys[h.Key()] {
+			continue
+		}
+		if c.SwapKeepsConnected(e, f, g, h) {
+			delete(keys, e.Key())
+			delete(keys, f.Key())
+			keys[g.Key()] = true
+			keys[h.Key()] = true
+			el.Edges[i], el.Edges[j] = g, h
+		}
 	}
 	st := c.StatsSnapshot()
-	if st.FastPathHits != 0 || st.BoundedChecks == 0 || st.WitnessRebuilds != 1 {
-		t.Fatalf("tree-touching accept took wrong path: %+v", st)
-	}
+	b.ReportMetric(float64(st.WitnessRebuilds)/float64(b.N), "rebuilds/op")
 }
 
 func TestBindReuse(t *testing.T) {

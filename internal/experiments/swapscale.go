@@ -75,10 +75,20 @@ func RunSwapScale(cfg Config) (*SwapScaleResult, error) {
 			w = maxWorkers / 2 // ensure the final sweep point is maxWorkers
 		}
 	}
-	// One cold run of one width is a single sample of a noisy host, so
-	// every width runs once per trial, and the widths alternate within a
-	// trial (reversing order on odd trials) so slow host phases hit them
-	// alike.
+	// The timed regions measure iterations, not set-up: each width gets
+	// one engine, built and warmed by one Step before any timing, so the
+	// table allocation, the pool start and the table's first-touch page
+	// faults stay outside them. A trial times Reset plus 3 Steps, then
+	// one Step of a freshly bound engine.
+	engines := make([]*swap.Engine, len(res.Points))
+	for k, pt := range res.Points {
+		engines[k] = swap.NewEngine(base.Clone(), swap.Options{Workers: pt.Workers, Seed: rng.Mix64(cfg.Seed) + uint64(pt.Workers), TrackSwapped: true})
+		defer engines[k].Close()
+		engines[k].Step()
+	}
+	// One run of one width is a single sample of a noisy host, so every
+	// width runs once per trial, and the widths alternate within a trial
+	// (reversing order on odd trials) so slow host phases hit them alike.
 	trials := cfg.trials()
 	ones := make([][]time.Duration, len(res.Points))
 	for t := 0; t < trials; t++ {
@@ -86,20 +96,20 @@ func RunSwapScale(cfg Config) (*SwapScaleResult, error) {
 			if t%2 == 1 {
 				k = len(res.Points) - 1 - k
 			}
-			pt := &res.Points[k]
-			seed := rng.Mix64(cfg.Seed) + uint64(pt.Workers)
+			pt, eng := &res.Points[k], engines[k]
 			el := base.Clone()
 			start := time.Now()
-			r := swap.Run(el, swap.Options{Iterations: 3, Workers: pt.Workers, Seed: seed, TrackSwapped: true})
+			eng.Reset(el)
+			first := eng.Step()
+			eng.Step()
+			eng.Step()
 			pt.ThreeIterations = append(pt.ThreeIterations, time.Since(start))
-			if t == 0 && len(r.PerIteration) > 0 {
-				pt.SwappedAfterOne = r.PerIteration[0].EverSwapped
+			if t == 0 {
+				pt.SwappedAfterOne = first.EverSwapped
 			}
-			// One-iteration time measured separately on a fresh clone
-			// without tracking overhead.
-			el = base.Clone()
+			eng.Reset(base.Clone())
 			start = time.Now()
-			swap.Run(el, swap.Options{Iterations: 1, Workers: pt.Workers, Seed: seed})
+			eng.Step()
 			ones[k] = append(ones[k], time.Since(start))
 		}
 	}

@@ -163,8 +163,8 @@ type ConnectivityReport struct {
 	BoundedConclusive int64 `json:"bounded_conclusive"`
 	// FullChecks counts full-BFS fallbacks.
 	FullChecks int64 `json:"full_checks"`
-	// WitnessRebuilds counts spanning-tree reconstructions after
-	// accepted tree-touching swaps.
+	// WitnessRebuilds counts full-BFS spanning-tree rebuilds after
+	// accepted tree-touching swaps the local repair could not settle.
 	WitnessRebuilds int64 `json:"witness_rebuilds"`
 	// RejectedDisconnecting counts proposals rejected because they
 	// would have disconnected the graph.

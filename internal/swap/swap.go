@@ -365,8 +365,9 @@ func newEngine(opt Options) *Engine {
 	return eng
 }
 
-// bind sizes the per-edge-list state (table, journals, target buffer,
-// flags) for el, reusing existing buffers when they are large enough.
+// bind sizes the per-edge-list state (multiset, connectivity checker,
+// table, target buffer, flags) for el, reusing existing buffers when
+// they are large enough.
 func (eng *Engine) bind(el *graph.EdgeList) {
 	eng.el = el
 	m := len(el.Edges)
