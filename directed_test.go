@@ -1,6 +1,8 @@
 package nullgraph
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -119,5 +121,70 @@ func TestAnalyticsFacade(t *testing.T) {
 	}
 	if got := GlobalClusteringCoefficient(tri, 1); got <= 0 {
 		t.Errorf("transitivity = %v", got)
+	}
+}
+
+// goldenJoint is the input of the directed golden hashes: three classes
+// of 2200 vertices, so every ordered class pair (the three diagonal
+// spaces included) spans more than one 1<<22-index edge-skip chunk.
+func goldenJoint() *JointDistribution {
+	var out, in []int64
+	for c := int64(1); c <= 3; c++ {
+		for v := 0; v < 2200; v++ {
+			out, in = append(out, c), append(in, 4-c)
+		}
+	}
+	return JointFromDegrees(out, in)
+}
+
+// arcHash is FNV-64a over the arc keys, little-endian, in array order.
+func arcHash(arcs []Arc) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, a := range arcs {
+		binary.LittleEndian.PutUint64(buf[:], a.Key())
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestGoldenGenerateDirected pins GenerateDirected's exact output: the
+// whole pipeline at Workers=1, and the edge-skipping stream alone
+// (SwapIterations 0) at Workers 1 and 4, which must agree because every
+// chunk draws from a stream keyed by its index. A parallel swap sweep
+// is not deterministic, so no swapped Workers=4 hash exists.
+func TestGoldenGenerateDirected(t *testing.T) {
+	cases := []struct {
+		workers, swaps int
+		want           uint64
+	}{
+		{1, 10, 0x149075fa2ec0299b},
+		{1, 0, 0x39f76a6ee1b49613},
+		{4, 0, 0x39f76a6ee1b49613},
+	}
+	for _, c := range cases {
+		res, err := GenerateDirected(goldenJoint(), Options{Workers: c.workers, Seed: 17, SwapIterations: c.swaps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := arcHash(res.Graph.Arcs); got != c.want {
+			t.Errorf("workers=%d swaps=%d: output hash = %#x, want %#x", c.workers, c.swaps, got, c.want)
+		}
+	}
+}
+
+// TestGoldenShuffleDirected pins ShuffleDirected's exact Workers=1
+// output on the Kleitman-Wang realization of goldenJoint.
+func TestGoldenShuffleDirected(t *testing.T) {
+	g, err := KleitmanWang(goldenJoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ShuffleDirected(g, Options{Workers: 1, Seed: 17, SwapIterations: 10}); err != nil {
+		t.Fatal(err)
+	}
+	const want = uint64(0x45b774ecb40f013d)
+	if got := arcHash(g.Arcs); got != want {
+		t.Fatalf("output hash = %#x, want %#x", got, want)
 	}
 }
