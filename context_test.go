@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"nullgraph/internal/obs"
 )
 
 func ringGraph(n int) *Graph {
@@ -211,18 +213,19 @@ func TestEngineShuffleInPlace(t *testing.T) {
 }
 
 // TestDirectedOptionParity: the directed entry points must reject the
-// Options they cannot honor instead of silently dropping them.
+// Options they cannot honor instead of silently dropping them, and
+// honor CollectReport with a report.
 func TestDirectedOptionParity(t *testing.T) {
 	dist := JointFromDegrees([]int64{1, 1, 1}, []int64{1, 1, 1})
 	if _, err := GenerateDirected(dist, Options{Seed: 1, RefineProbabilities: 2}); err == nil {
 		t.Error("GenerateDirected accepted RefineProbabilities")
 	}
-	if _, err := GenerateDirected(dist, Options{Seed: 1, CollectReport: true}); err == nil {
-		t.Error("GenerateDirected accepted CollectReport")
+	if res, err := GenerateDirected(dist, Options{Seed: 1, CollectReport: true}); err != nil || (obs.Enabled && res.Report == nil) {
+		t.Errorf("GenerateDirected with CollectReport: err %v, report present %v", err, err == nil && res.Report != nil)
 	}
 	g := NewDigraph([]Arc{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}}, 3)
-	if _, err := ShuffleDirected(g, Options{Seed: 1, CollectReport: true}); err == nil {
-		t.Error("ShuffleDirected accepted CollectReport")
+	if res, err := ShuffleDirected(g, Options{Seed: 1, CollectReport: true}); err != nil || (obs.Enabled && res.Report == nil) {
+		t.Errorf("ShuffleDirected with CollectReport: err %v, report present %v", err, err == nil && res.Report != nil)
 	}
 	if _, err := ShuffleDirected(nil, Options{Seed: 1, SwapIterations: 2}); err == nil {
 		t.Error("ShuffleDirected accepted a nil digraph")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"nullgraph/internal/core"
 	"nullgraph/internal/directed"
 	"nullgraph/internal/par"
 )
@@ -51,76 +52,68 @@ type DirectedResult struct {
 	// directed chain always monitors the swap success rate (no graph
 	// statistic is wired), whatever StopPolicy.Statistic says.
 	Stop *StopReport
+	// Report holds the chain-health report when Options.CollectReport
+	// was set, nil otherwise: edge-skip spaces (one per ordered class
+	// pair), swap iterations, phase times and the stop decision.
+	Report *RunReport
 }
 
-// directedOptions maps the shared Options onto the directed pipeline,
-// rejecting fields the directed chain does not implement rather than
-// silently dropping them: it samples simple digraphs only (no other
-// Space) with no connectivity constraint, RefineProbabilities targets
-// the undirected class matrix, and CollectReport's recorder instruments
-// only the undirected engines.
-func directedOptions(opt Options) (directed.Options, error) {
-	if opt.Space != SpaceSimple && opt.Space != SpaceSimpleVertex {
-		return directed.Options{}, fmt.Errorf("nullgraph: directed generation samples simple digraphs only, not Space %v", opt.Space)
+// runDirected is oneShot for the directed entry points. It rejects the
+// Options the directed chain does not implement rather than silently
+// dropping them: it samples simple digraphs only (no other Space) with
+// no connectivity constraint, and RefineProbabilities targets the
+// undirected class matrix.
+func runDirected(ctx context.Context, opt Options, g *Digraph, sample func(*core.Engine, *par.Stop) (*core.Result, error)) (*DirectedResult, error) {
+	if err := ctxEntryErr(ctx); err != nil {
+		return nil, err
 	}
-	if opt.Connected {
-		return directed.Options{}, fmt.Errorf("nullgraph: Connected is not supported for directed generation")
+	switch {
+	case opt.Space != SpaceSimple && opt.Space != SpaceSimpleVertex:
+		return nil, fmt.Errorf("nullgraph: directed generation samples simple digraphs only, not Space %v", opt.Space)
+	case opt.Connected:
+		return nil, fmt.Errorf("nullgraph: Connected is not supported for directed generation")
+	case opt.RefineProbabilities > 0:
+		return nil, fmt.Errorf("nullgraph: RefineProbabilities is not supported for directed generation")
 	}
-	if opt.RefineProbabilities > 0 {
-		return directed.Options{}, fmt.Errorf("nullgraph: RefineProbabilities is not supported for directed generation")
+	res, err := oneShot(ctx, opt, sample)
+	if err != nil {
+		return nil, err
 	}
-	if opt.CollectReport {
-		return directed.Options{}, fmt.Errorf("nullgraph: CollectReport is not supported for directed generation")
+	if g == nil {
+		g = &Digraph{Arcs: directed.EdgesAsArcs(res.Graph.Edges), NumVertices: res.Graph.NumVertices}
 	}
-	return directed.Options{
-		Workers:         opt.Workers,
-		Seed:            opt.Seed,
-		SwapIterations:  opt.SwapIterations,
-		MixUntilSwapped: opt.MixUntilSwapped,
-		StopPolicy:      opt.StopPolicy,
-	}, nil
+	return &DirectedResult{Graph: g, SwapIterations: res.SwapIterations, Mixed: res.Mixed, Stop: res.Stop, Report: res.Report}, nil
 }
 
 // GenerateDirected draws a uniformly random simple digraph matching the
 // joint (out, in) distribution in expectation: directed probability
-// heuristic → directed edge-skipping → double-arc swaps with triangle
-// reversals. Options the directed chain does not implement (a
-// non-simple Space, Connected, RefineProbabilities, CollectReport) are
-// rejected with an error.
-// Equivalent to GenerateDirectedContext with a background context.
+// heuristic → edge-skipping over ordered class pairs → double-arc swaps
+// with triangle reversals. Options the directed chain does not
+// implement (a non-simple Space, Connected, RefineProbabilities) are
+// rejected with an error; CollectReport attaches a RunReport to the
+// result. Equivalent to GenerateDirectedContext with a background
+// context.
 func GenerateDirected(dist *JointDistribution, opt Options) (*DirectedResult, error) {
 	return GenerateDirectedContext(context.Background(), dist, opt)
 }
 
 // GenerateDirectedContext is GenerateDirected honoring ctx:
-// cancellation is cooperative (between phases, and inside the swap
-// phase every few thousand arcs), the partial digraph is abandoned,
-// and ctx.Err() is returned. A ctx already canceled on entry returns
-// before any work.
+// cancellation is cooperative with bounded latency in every phase
+// (edge-skipping and swapping poll every few thousand indices), the
+// partial digraph is abandoned, and ctx.Err() is returned. A ctx
+// already canceled on entry returns before any work.
 func GenerateDirectedContext(ctx context.Context, dist *JointDistribution, opt Options) (*DirectedResult, error) {
-	if err := ctxEntryErr(ctx); err != nil {
-		return nil, err
-	}
-	dopt, err := directedOptions(opt)
-	if err != nil {
-		return nil, err
-	}
-	stop, release := par.WatchContext(ctx)
-	defer release()
-	dopt.Stop = stop
-	res, err := directed.Generate(dist, dopt)
-	if err != nil {
-		return nil, ctxError(ctx, err)
-	}
-	return &DirectedResult{Graph: res.Graph, SwapIterations: res.Swaps.PerIteration, Mixed: res.Mixed, Stop: res.Stop}, nil
+	return runDirected(ctx, opt, nil, func(e *core.Engine, stop *par.Stop) (*core.Result, error) {
+		return e.GenerateDirectedSample(dist, 0, stop)
+	})
 }
 
 // ShuffleDirected mixes an existing digraph in place, preserving every
 // vertex's in- and out-degree. The digraph must be non-nil with
 // in-range endpoints — the same validation as the undirected Shuffle —
 // and unsupported Options (a non-simple Space, Connected,
-// RefineProbabilities, CollectReport) are rejected with an error. Equivalent to ShuffleDirectedContext with a
-// background context.
+// RefineProbabilities) are rejected with an error. Equivalent to
+// ShuffleDirectedContext with a background context.
 func ShuffleDirected(g *Digraph, opt Options) (*DirectedResult, error) {
 	return ShuffleDirectedContext(context.Background(), g, opt)
 }
@@ -130,21 +123,9 @@ func ShuffleDirected(g *Digraph, opt Options) (*DirectedResult, error) {
 // vertex's in- and out-degree preserved — but under-mixed. A ctx
 // already canceled on entry leaves g untouched.
 func ShuffleDirectedContext(ctx context.Context, g *Digraph, opt Options) (*DirectedResult, error) {
-	if err := ctxEntryErr(ctx); err != nil {
-		return nil, err
-	}
-	dopt, err := directedOptions(opt)
-	if err != nil {
-		return nil, err
-	}
-	stop, release := par.WatchContext(ctx)
-	defer release()
-	dopt.Stop = stop
-	res, err := directed.Shuffle(g, dopt)
-	if err != nil {
-		return nil, ctxError(ctx, err)
-	}
-	return &DirectedResult{Graph: res.Graph, SwapIterations: res.Swaps.PerIteration, Mixed: res.Mixed, Stop: res.Stop}, nil
+	return runDirected(ctx, opt, g, func(e *core.Engine, stop *par.Stop) (*core.Result, error) {
+		return e.ShuffleDirectedSample(g, 0, stop)
+	})
 }
 
 // KleitmanWang deterministically realizes a joint degree distribution

@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"nullgraph/internal/obs"
 )
 
 func digraphCycle(n int) *Digraph {
@@ -173,6 +175,10 @@ func TestGoldenGenerateDirected(t *testing.T) {
 	}
 }
 
+// goldenShuffleDirected is ShuffleDirected's Workers=1 output hash on
+// the Kleitman-Wang realization of goldenJoint (Seed 17, 10 iterations).
+const goldenShuffleDirected = uint64(0x45b774ecb40f013d)
+
 // TestGoldenShuffleDirected pins ShuffleDirected's exact Workers=1
 // output on the Kleitman-Wang realization of goldenJoint.
 func TestGoldenShuffleDirected(t *testing.T) {
@@ -183,8 +189,58 @@ func TestGoldenShuffleDirected(t *testing.T) {
 	if _, err := ShuffleDirected(g, Options{Workers: 1, Seed: 17, SwapIterations: 10}); err != nil {
 		t.Fatal(err)
 	}
-	const want = uint64(0x45b774ecb40f013d)
-	if got := arcHash(g.Arcs); got != want {
-		t.Fatalf("output hash = %#x, want %#x", got, want)
+	if got := arcHash(g.Arcs); got != goldenShuffleDirected {
+		t.Fatalf("output hash = %#x, want %#x", got, goldenShuffleDirected)
+	}
+}
+
+// TestDirectedReportBitIdentical: instrumenting a directed run changes
+// nothing it samples (Workers=1), and the report carries the edge-skip
+// spaces of the ordered kind, every swap iteration, the phases and the
+// stop decision.
+func TestDirectedReportBitIdentical(t *testing.T) {
+	opt := Options{Workers: 1, Seed: 17, SwapIterations: 10}
+	plain, err := GenerateDirected(goldenJoint(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := arcHash(plain.Graph.Arcs)
+	opt.CollectReport = true
+	inst, err := GenerateDirected(goldenJoint(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := arcHash(inst.Graph.Arcs); got != want {
+		t.Fatalf("instrumented output hash %#x, plain %#x", got, want)
+	}
+	if !obs.Enabled {
+		return
+	}
+	rep := inst.Report
+	if rep == nil || rep.EdgeSkip == nil || rep.Phases == nil || rep.Stop == nil {
+		t.Fatalf("report sections missing: %+v", rep)
+	}
+	// Three classes, all nine ordered pairs with P > 0.
+	if len(rep.EdgeSkip.Spaces) != 9 || rep.EdgeSkip.TotalEdges != int64(len(inst.Graph.Arcs)) {
+		t.Errorf("edge-skip section: %d spaces, %d edges; want 9 spaces, %d edges",
+			len(rep.EdgeSkip.Spaces), rep.EdgeSkip.TotalEdges, len(inst.Graph.Arcs))
+	}
+	if len(rep.Iterations) != 10 || rep.Stop.Iterations != 10 {
+		t.Errorf("swap section: %d iterations, stop after %d; want 10", len(rep.Iterations), rep.Stop.Iterations)
+	}
+
+	g, err := KleitmanWang(goldenJoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ShuffleDirected(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := arcHash(g.Arcs); got != goldenShuffleDirected {
+		t.Errorf("instrumented ShuffleDirected hash %#x, want the golden plain hash", got)
+	}
+	if res.Report == nil || len(res.Report.Iterations) != 10 {
+		t.Errorf("ShuffleDirected report: %+v", res.Report)
 	}
 }

@@ -97,21 +97,9 @@ func (e *Engine) Generate(dist *DegreeDistribution) (*Result, error) {
 // work. The returned Result aliases engine-owned buffers and is valid
 // until the next call.
 func (e *Engine) GenerateContext(ctx context.Context, dist *DegreeDistribution) (*Result, error) {
-	if err := ctxEntryErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := e.acquire(); err != nil {
-		return nil, err
-	}
-	defer e.release()
-	stop, release := par.WatchContext(ctx)
-	defer release()
-	out, err := e.eng.GenerateSample(dist, e.sample, stop)
-	if err != nil {
-		return nil, ctxError(ctx, err)
-	}
-	e.sample++
-	return wrapResult(out, e.rec), nil
+	return e.next(ctx, func(stop *par.Stop) (*core.Result, error) {
+		return e.eng.GenerateSample(dist, e.sample, stop)
+	})
 }
 
 // Shuffle mixes g in place as the next sample of the batch. Equivalent
@@ -128,6 +116,14 @@ func (e *Engine) Shuffle(g *Graph) (*Result, error) {
 // sample counter does not advance on cancellation, so retrying re-runs
 // the same sample index.
 func (e *Engine) ShuffleContext(ctx context.Context, g *Graph) (*Result, error) {
+	return e.next(ctx, func(stop *par.Stop) (*core.Result, error) {
+		return e.eng.ShuffleSample(g, e.sample, stop)
+	})
+}
+
+// next claims the session and runs its next sample under ctx,
+// advancing the counter only on success.
+func (e *Engine) next(ctx context.Context, sample func(*par.Stop) (*core.Result, error)) (*Result, error) {
 	if err := ctxEntryErr(ctx); err != nil {
 		return nil, err
 	}
@@ -137,7 +133,7 @@ func (e *Engine) ShuffleContext(ctx context.Context, g *Graph) (*Result, error) 
 	defer e.release()
 	stop, release := par.WatchContext(ctx)
 	defer release()
-	out, err := e.eng.ShuffleSample(g, e.sample, stop)
+	out, err := sample(stop)
 	if err != nil {
 		return nil, ctxError(ctx, err)
 	}

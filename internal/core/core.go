@@ -2,7 +2,9 @@
 // generation (Section IV-A) → parallel edge-skipping (Section IV-B) →
 // parallel double-edge swaps (Section III-A). It also exposes the
 // edge-list entry point (Problem 1: mix an existing graph) and records
-// per-phase wall times, which the Figure 6 experiment reports.
+// per-phase wall times, which the Figure 6 experiment reports. Directed
+// samples run through the same session steps (Engine's
+// GenerateDirectedSample and ShuffleDirectedSample).
 package core
 
 import (
@@ -266,16 +268,16 @@ func FromEdgeList(el *graph.EdgeList, opt Options) (*Result, error) {
 	return eng.ShuffleSample(el, 0, opt.Stop)
 }
 
-// swapOptions derives the session swap engine's configuration.
-func (o Options) swapOptions() swap.Options {
+// swapOptions derives the configuration of the session's swap engine
+// for dir; runSwaps adds the seed, pool and stop.
+func (o Options) swapOptions(dir *direction) swap.Options {
 	return swap.Options{
 		Space:        o.Space,
 		Connected:    o.Connected,
 		Iterations:   o.SwapIterations,
 		Workers:      o.Workers,
-		Seed:         o.Seed + 0x5eed,
 		Probing:      o.Probing,
-		TrackSwapped: o.TrackSwapStats || o.MixUntilSwapped || o.StopPolicy != nil,
+		TrackSwapped: (o.TrackSwapStats && dir.trackStats) || o.MixUntilSwapped || o.StopPolicy != nil,
 		Recorder:     o.Recorder,
 	}
 }

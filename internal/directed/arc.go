@@ -9,8 +9,12 @@
 //   - parallel double-arc swaps preserving every vertex's in- AND
 //     out-degree, run as the directed acceptance rule of the one swap
 //     engine (swap.NewDirectedEngine) over the arcs viewed in place;
-//   - directed Chung-Lu baselines and the directed version of the
-//     probability heuristic + edge-skipping pipeline.
+//   - the directed version of the probability heuristic, and directed
+//     Chung-Lu baselines, as asymmetric probgen matrices.
+//
+// Directed generation itself runs on the shared pipeline: the ordered
+// class-pair spaces of edgeskip.Generator.GenerateOrdered, then this
+// chain, inside a core.Engine session.
 //
 // The "certain considerations": swap proposals have a single legal
 // pairing ((u→v),(x→y) ⇒ (u→y),(x→v) — the other exchange would move

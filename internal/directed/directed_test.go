@@ -242,122 +242,6 @@ func TestChungLuProbabilitiesDirected(t *testing.T) {
 	}
 }
 
-func TestGenerateArcsSimpleAndSized(t *testing.T) {
-	d := randomJoint(t, 3000, 5, 17)
-	m := GenerateProbabilities(d, 2)
-	want := ExpectedArcs(d, m)
-	var total float64
-	const trials = 15
-	for trial := 0; trial < trials; trial++ {
-		al, err := GenerateArcs(d, m, SkipOptions{Workers: 4, Seed: uint64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep := al.CheckSimplicity(); !rep.IsSimple() {
-			t.Fatalf("not simple: %+v", rep)
-		}
-		total += float64(al.NumArcs())
-	}
-	mean := total / trials
-	tol := 5 * math.Sqrt(want) / math.Sqrt(trials)
-	if math.Abs(mean-want) > tol {
-		t.Errorf("mean arcs %v, want %v ± %v", mean, want, tol)
-	}
-}
-
-func TestGenerateArcsDeterministicAcrossWorkers(t *testing.T) {
-	d := randomJoint(t, 1000, 4, 23)
-	m := GenerateProbabilities(d, 1)
-	a, err := GenerateArcs(d, m, SkipOptions{Workers: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateArcs(d, m, SkipOptions{Workers: 8, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Arcs) != len(b.Arcs) {
-		t.Fatalf("arc counts differ: %d vs %d", len(a.Arcs), len(b.Arcs))
-	}
-	for i := range a.Arcs {
-		if a.Arcs[i] != b.Arcs[i] {
-			t.Fatalf("arc %d differs across worker counts", i)
-		}
-	}
-}
-
-func TestGenerateArcsDiagonalExcludesLoops(t *testing.T) {
-	// One class, P=1: complete digraph without loops.
-	out := []int64{4, 4, 4, 4, 4}
-	in := []int64{4, 4, 4, 4, 4}
-	d := FromJointDegrees(out, in)
-	m := NewProbMatrix(1)
-	m.Set(0, 0, 1)
-	al, err := GenerateArcs(d, m, SkipOptions{Workers: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if al.NumArcs() != 20 {
-		t.Errorf("arcs = %d, want 20 (complete digraph on 5)", al.NumArcs())
-	}
-	for _, a := range al.Arcs {
-		if a.IsLoop() {
-			t.Fatalf("loop emitted: %v", a)
-		}
-	}
-}
-
-func TestPipelineEndToEnd(t *testing.T) {
-	d := randomJoint(t, 4000, 5, 31)
-	res, err := Generate(d, Options{Workers: 4, Seed: 7, SwapIterations: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := res.Graph.CheckSimplicity(); !rep.IsSimple() {
-		t.Fatalf("pipeline output not simple: %+v", rep)
-	}
-	// Arc count within a few percent.
-	got := float64(res.Graph.NumArcs())
-	target := float64(d.NumArcs())
-	if math.Abs(got-target) > 0.05*target {
-		t.Errorf("arcs %v vs target %v", got, target)
-	}
-	if res.Phases.Total() <= 0 {
-		t.Error("phases not recorded")
-	}
-	if len(res.Swaps.PerIteration) != 6 {
-		t.Errorf("swap iterations = %d", len(res.Swaps.PerIteration))
-	}
-}
-
-func TestPipelineRejectsUnbalanced(t *testing.T) {
-	d := &JointDistribution{Classes: []JointClass{{Out: 2, In: 1, Count: 3}}}
-	if _, err := Generate(d, Options{}); err == nil {
-		t.Error("unbalanced joint distribution accepted")
-	}
-}
-
-func TestShuffleDirectedPreservesJointDegrees(t *testing.T) {
-	al := cycleDigraph(400)
-	before := OfArcList(al, 1)
-	res, err := Shuffle(al, Options{Workers: 2, Seed: 3, MixUntilSwapped: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := OfArcList(al, 1)
-	if len(before.Classes) != len(after.Classes) {
-		t.Fatal("joint distribution changed")
-	}
-	for i := range before.Classes {
-		if before.Classes[i] != after.Classes[i] {
-			t.Fatal("joint distribution changed")
-		}
-	}
-	if !res.Mixed {
-		t.Error("cycle did not mix")
-	}
-}
-
 func TestSwapUniformityDirectedMatchesAnalytic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
@@ -394,16 +278,4 @@ func BenchmarkDirectedSwapIteration(b *testing.B) {
 		eng.Step()
 	}
 	b.SetBytes(int64(al.NumArcs()) * 8)
-}
-
-func BenchmarkDirectedPipeline(b *testing.B) {
-	d := randomJoint(b, 50000, 8, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Generate(d, Options{Seed: uint64(i), SwapIterations: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(res.Graph.NumArcs()) * 8)
-	}
 }

@@ -126,13 +126,19 @@ func OfArcList(al *ArcList, p int) *JointDistribution {
 	return FromJointDegrees(out, in)
 }
 
-// VertexOffsets returns the class-layout prefix sums (len |D|+1).
-func (d *JointDistribution) VertexOffsets(p int) []int64 {
+// Counts returns the class sizes in class order: the vertex layout the
+// generators draw over.
+func (d *JointDistribution) Counts() []int64 {
 	counts := make([]int64, len(d.Classes))
 	for i, c := range d.Classes {
 		counts[i] = c.Count
 	}
-	return par.PrefixSums(counts, p)
+	return counts
+}
+
+// VertexOffsets returns the class-layout prefix sums (len |D|+1).
+func (d *JointDistribution) VertexOffsets(p int) []int64 {
+	return par.PrefixSums(d.Counts(), p)
 }
 
 // ClassOfVertex locates a vertex's class under the layout.

@@ -4,44 +4,13 @@ import (
 	"sort"
 
 	"nullgraph/internal/par"
+	"nullgraph/internal/probgen"
 )
 
-// ProbMatrix is the directed pairwise class probability matrix:
-// P(i, j) is the probability of an arc from a specific class-i vertex
-// to a specific class-j vertex. Unlike the undirected matrix it is NOT
-// symmetric.
-type ProbMatrix struct {
-	k    int
-	vals []float64
-}
-
-// NewProbMatrix allocates a zero k×k matrix.
-func NewProbMatrix(k int) *ProbMatrix {
-	return &ProbMatrix{k: k, vals: make([]float64, k*k)}
-}
-
-// Dim returns the class count.
-func (m *ProbMatrix) Dim() int { return m.k }
-
-// At returns P(i→j).
-func (m *ProbMatrix) At(i, j int) float64 { return m.vals[i*m.k+j] }
-
-// Set assigns P(i→j).
-func (m *ProbMatrix) Set(i, j int, v float64) { m.vals[i*m.k+j] = v }
-
-// Clamp bounds entries to [0,1].
-func (m *ProbMatrix) Clamp() {
-	for i, v := range m.vals {
-		if v < 0 {
-			m.vals[i] = 0
-		} else if v > 1 {
-			m.vals[i] = 1
-		}
-	}
-}
-
 // GenerateProbabilities is the directed version of the paper's Section
-// IV-A heuristic. Out-stubs attach to in-stubs: visiting source classes
+// IV-A heuristic, as an asymmetric probgen.Matrix: P(i, j) is the
+// probability of an arc from a specific class-i vertex to a specific
+// class-j vertex. Out-stubs attach to in-stubs: visiting source classes
 // in descending out-degree order, class i sends to every class j
 //
 //	e_ij = min( FEout(i)·FEin(j)/ΣFEin,  pairs(i,j)·headroom,  FEin(j) )
@@ -58,9 +27,9 @@ func (m *ProbMatrix) Clamp() {
 //
 //	out_i = Σ_j n_j·P(i,j) − P(i,i)     for every class i
 //	in_i  = Σ_j n_j·P(j,i) − P(i,i)
-func GenerateProbabilities(d *JointDistribution, p int) *ProbMatrix {
+func GenerateProbabilities(d *JointDistribution, p int) *probgen.Matrix {
 	k := d.NumClasses()
-	m := NewProbMatrix(k)
+	m := probgen.NewMatrix(k)
 	if k == 0 {
 		return m
 	}
@@ -93,27 +62,20 @@ func GenerateProbabilities(d *JointDistribution, p int) *ProbMatrix {
 	return m
 }
 
-func attachSweepDirected(d *JointDistribution, m *ProbMatrix, feOut, feIn []float64, order []int, totalIn float64, p int) float64 {
+func attachSweepDirected(d *JointDistribution, m *probgen.Matrix, feOut, feIn []float64, order []int, totalIn float64, p int) float64 {
 	k := d.NumClasses()
 	eRow := make([]float64, k)
 	for _, i := range order {
 		if feOut[i] <= 0 || totalIn <= 0 {
 			continue
 		}
-		ni := float64(d.Classes[i].Count)
 		fo := feOut[i]
 		par.For(k, p, func(j int) {
 			eRow[j] = 0
 			if feIn[j] <= 0 {
 				return
 			}
-			nj := float64(d.Classes[j].Count)
-			var pairs float64
-			if i == j {
-				pairs = ni * (ni - 1)
-			} else {
-				pairs = ni * nj
-			}
+			pairs := d.orderedPairs(i, j)
 			if pairs <= 0 {
 				return
 			}
@@ -145,13 +107,7 @@ func attachSweepDirected(d *JointDistribution, m *ProbMatrix, feOut, feIn []floa
 			if e == 0 {
 				continue
 			}
-			var pairs float64
-			if i == j {
-				pairs = ni * (ni - 1)
-			} else {
-				pairs = ni * float64(d.Classes[j].Count)
-			}
-			m.Set(i, j, m.At(i, j)+e/pairs)
+			m.SetOrdered(i, j, m.At(i, j)+e/d.orderedPairs(i, j))
 			feIn[j] -= e
 			if feIn[j] < 0 {
 				feIn[j] = 0
@@ -172,7 +128,7 @@ func attachSweepDirected(d *JointDistribution, m *ProbMatrix, feOut, feIn []floa
 
 // RowResiduals returns per-class (outResid, inResid): the expected
 // degree errors of the matrix under Bernoulli arc generation.
-func RowResiduals(d *JointDistribution, m *ProbMatrix) (outResid, inResid []float64) {
+func RowResiduals(d *JointDistribution, m *probgen.Matrix) (outResid, inResid []float64) {
 	k := d.NumClasses()
 	outResid = make([]float64, k)
 	inResid = make([]float64, k)
@@ -191,29 +147,33 @@ func RowResiduals(d *JointDistribution, m *ProbMatrix) (outResid, inResid []floa
 }
 
 // ExpectedArcs returns the Bernoulli process's expected arc count.
-func ExpectedArcs(d *JointDistribution, m *ProbMatrix) float64 {
+func ExpectedArcs(d *JointDistribution, m *probgen.Matrix) float64 {
 	k := d.NumClasses()
 	var sum float64
 	for i := 0; i < k; i++ {
-		ni := float64(d.Classes[i].Count)
 		for j := 0; j < k; j++ {
-			var pairs float64
-			if i == j {
-				pairs = ni * (ni - 1)
-			} else {
-				pairs = ni * float64(d.Classes[j].Count)
-			}
-			sum += pairs * m.At(i, j)
+			sum += d.orderedPairs(i, j) * m.At(i, j)
 		}
 	}
 	return sum
 }
 
+// orderedPairs is the size of the ordered class pair (i, j)'s sample
+// space: n_i·n_j vertex pairs, or n_i·(n_i−1) on the diagonal, where
+// self-arcs are excluded.
+func (d *JointDistribution) orderedPairs(i, j int) float64 {
+	ni := float64(d.Classes[i].Count)
+	if i == j {
+		return ni * (ni - 1)
+	}
+	return ni * float64(d.Classes[j].Count)
+}
+
 // ChungLuProbabilities returns the naive directed Chung-Lu matrix
 // P(i→j) = min(1, out_i·in_j/m).
-func ChungLuProbabilities(d *JointDistribution) *ProbMatrix {
+func ChungLuProbabilities(d *JointDistribution) *probgen.Matrix {
 	k := d.NumClasses()
-	m := NewProbMatrix(k)
+	m := probgen.NewMatrix(k)
 	arcs := float64(d.NumArcs())
 	if arcs == 0 {
 		return m
@@ -224,7 +184,7 @@ func ChungLuProbabilities(d *JointDistribution) *ProbMatrix {
 			if p > 1 {
 				p = 1
 			}
-			m.Set(i, j, p)
+			m.SetOrdered(i, j, p)
 		}
 	}
 	return m

@@ -95,15 +95,3 @@ func TestGenerateProbabilitiesWorkerInvariance(t *testing.T) {
 		}
 	}
 }
-
-func TestProbMatrixClamp(t *testing.T) {
-	m := NewProbMatrix(2)
-	m.Set(0, 0, -0.5)
-	m.Set(0, 1, 1.7)
-	m.Set(1, 0, 0.3)
-	m.Set(1, 1, 1.0)
-	m.Clamp()
-	if m.At(0, 0) != 0 || m.At(0, 1) != 1 || m.At(1, 0) != 0.3 || m.At(1, 1) != 1 {
-		t.Errorf("clamp wrong: %v %v %v %v", m.At(0, 0), m.At(0, 1), m.At(1, 0), m.At(1, 1))
-	}
-}

@@ -52,7 +52,7 @@ type SwapEngine struct {
 
 // NewSwapEngine prepares an engine that mutates al in place.
 func NewSwapEngine(al *ArcList, opt SwapOptions) *SwapEngine {
-	de := &SwapEngine{el: graph.EdgeList{Edges: arcsAsEdges(al.Arcs), NumVertices: al.NumVertices}}
+	de := &SwapEngine{el: graph.EdgeList{Edges: ArcsAsEdges(al.Arcs), NumVertices: al.NumVertices}}
 	de.eng = swap.NewDirectedEngine(&de.el, swap.Options{
 		Workers:      opt.Workers,
 		Seed:         opt.Seed,
@@ -63,13 +63,22 @@ func NewSwapEngine(al *ArcList, opt SwapOptions) *SwapEngine {
 	return de
 }
 
-// arcsAsEdges views arcs as edges (From, To) = (U, V) without copying:
+// ArcsAsEdges views arcs as edges (From, To) = (U, V) without copying:
 // Arc and graph.Edge are both a pair of int32s.
-func arcsAsEdges(arcs []Arc) []graph.Edge {
+func ArcsAsEdges(arcs []Arc) []graph.Edge {
 	if len(arcs) == 0 {
 		return nil
 	}
 	return unsafe.Slice((*graph.Edge)(unsafe.Pointer(&arcs[0])), len(arcs))
+}
+
+// EdgesAsArcs is the inverse view of ArcsAsEdges: each edge (U, V) read
+// as the arc U→V, without copying.
+func EdgesAsArcs(edges []graph.Edge) []Arc {
+	if len(edges) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*Arc)(unsafe.Pointer(&edges[0])), len(edges))
 }
 
 // EverSwappedFraction reports the mixing tracker (0 unless

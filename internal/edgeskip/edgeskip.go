@@ -10,6 +10,16 @@
 //   - i != j: the n_i·n_j pairs across the two classes, indexed
 //     row-major.
 //
+// The ordered kind (Generator.GenerateOrdered) samples simple digraphs
+// the same way, with one space per *ordered* class pair (i, j): every
+// (i, j), not just j >= i, reading P(i,j) as the probability of an arc
+// from a class-i vertex to a class-j vertex. Off the diagonal its spaces
+// are the rectangular ones; on the diagonal a space holds the
+// n_i·(n_i−1) ordered pairs of distinct vertices, with the self-pairs
+// cut out of the indexing so loops are unrepresentable. Directed and
+// undirected sampling are thus the same sample spaces under a different
+// index map (Dutta, Fosdick and Clauset, arXiv:2105.12120).
+//
 // Within a space every pair is an edge independently with the same
 // probability P(i,j), so instead of testing each index the generator
 // samples geometric skip lengths l = ⌊log(r)/log(1−p)⌋ and jumps
@@ -18,8 +28,8 @@
 // Vertex identifiers are class-ordered: class k owns the ID range
 // [I(k), I(k)+n_k) where I is the prefix sum of class counts, exactly as
 // the paper retrieves global IDs. Output is simple by construction:
-// every distinct vertex pair is considered at most once, and no space
-// contains a self-pair.
+// every distinct vertex pair (ordered pair, for the ordered kind) is
+// considered at most once, and no space contains a self-pair.
 //
 // Parallelism is two-level: across spaces, and within any space larger
 // than a chunk threshold by restarting the skip process at interior
@@ -67,9 +77,16 @@ type Options struct {
 
 const defaultChunkSpan = 1 << 22
 
+// Per-kind stream salts: chunk c of a run draws from the stream
+// Mix64(seed) ^ Mix64(c + salt).
+const (
+	unorderedSalt = 0x1234567
+	orderedSalt   = 0x7654321
+)
+
 // chunk is one contiguous index interval of one class-pair space.
 type chunk struct {
-	ci, cj     int   // class indices, ci <= cj
+	ci, cj     int   // class indices; ci <= cj for the unordered kind
 	begin, end int64 // index interval within the space
 	prob       float64
 }
@@ -90,14 +107,15 @@ type Generator struct {
 	chunks   []chunk
 	buffers  [][]graph.Edge
 	draws    []int64
+	counts   []int64
 	offsets  []int64
 	edges    []graph.Edge
 	next     atomic.Int64
 	chunkFn  func(w int, r par.Range)
 	chunkArg struct {
-		dist *degseq.Distribution
-		seed uint64
-		stop *par.Stop
+		seed    uint64
+		ordered bool
+		stop    *par.Stop
 	}
 }
 
@@ -124,8 +142,12 @@ func NewGenerator(opt Options) *Generator {
 				return
 			}
 			var src rng.Source
-			src.Reseed(rng.Mix64(g.chunkArg.seed) ^ rng.Mix64(uint64(c)+0x1234567))
-			g.buffers[c], g.draws[c] = runChunkInto(g.buffers[c][:0], g.chunkArg.dist, g.offsets, g.chunks[c], &src, g.chunkArg.stop)
+			salt := uint64(unorderedSalt)
+			if g.chunkArg.ordered {
+				salt = orderedSalt
+			}
+			src.Reseed(rng.Mix64(g.chunkArg.seed) ^ rng.Mix64(uint64(c)+salt))
+			g.buffers[c], g.draws[c] = runChunkInto(g.buffers[c][:0], g.offsets, g.chunks[c], g.chunkArg.ordered, &src, g.chunkArg.stop)
 		}
 	}
 	return g
@@ -148,40 +170,63 @@ func (g *Generator) SetPool(pl *par.Pool) {
 // span) regardless of buffer reuse, pool attachment, or scheduling.
 // When stop trips mid-run it returns par.ErrStopped and no graph.
 func (g *Generator) Generate(dist *degseq.Distribution, m *probgen.Matrix, seed uint64, stop *par.Stop) (*graph.EdgeList, error) {
-	k := dist.NumClasses()
+	g.counts = g.counts[:0]
+	for _, c := range dist.Classes {
+		g.counts = append(g.counts, c.Count)
+	}
+	return g.generate(g.counts, false, m, seed, stop)
+}
+
+// GenerateOrdered draws a simple digraph — each edge (U, V) of the
+// result is the arc U→V — whose ordered class-pair arc probabilities
+// are given by m: P(i,j) is the probability of an arc from a specific
+// class-i vertex to a specific class-j vertex, and m need not be
+// symmetric. counts[i] is the size of class i; vertex IDs are
+// class-ordered as in Generate. Output, reuse and stop behave as in
+// Generate, with the ordered kind's own chunk streams.
+func (g *Generator) GenerateOrdered(counts []int64, m *probgen.Matrix, seed uint64, stop *par.Stop) (*graph.EdgeList, error) {
+	return g.generate(counts, true, m, seed, stop)
+}
+
+// generate runs the edge-skip process over the class layout counts,
+// with one space per unordered class pair, or per ordered one.
+func (g *Generator) generate(counts []int64, ordered bool, m *probgen.Matrix, seed uint64, stop *par.Stop) (*graph.EdgeList, error) {
+	k := len(counts)
 	if m.Dim() != k {
 		return nil, fmt.Errorf("edgeskip: matrix dim %d != |D| %d", m.Dim(), k)
-	}
-	n := dist.NumVertices()
-	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("edgeskip: %d vertices exceed int32 IDs", n)
 	}
 
 	// Vertex offsets: exclusive prefix sums of class counts, into the
 	// reusable buffer. Matches dist.VertexOffsets.
-	g.offsets = g.offsets[:0]
-	var running int64
-	for _, c := range dist.Classes {
-		g.offsets = append(g.offsets, running)
-		running += c.Count
+	g.offsets = append(g.offsets[:0], 0)
+	for i, c := range counts {
+		g.offsets = append(g.offsets, g.offsets[i]+c)
 	}
-	g.offsets = append(g.offsets, running)
+	n := g.offsets[k]
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("edgeskip: %d vertices exceed int32 IDs", n)
+	}
 
 	// Enumerate chunks. Spaces with zero probability contribute nothing
 	// and are skipped outright.
 	g.chunks = g.chunks[:0]
 	for i := 0; i < k; i++ {
-		ni := dist.Classes[i].Count
-		for j := i; j < k; j++ {
+		ni := counts[i]
+		j := i
+		if ordered {
+			j = 0
+		}
+		for ; j < k; j++ {
 			prob := m.At(i, j)
 			if prob <= 0 {
 				continue
 			}
-			var end int64
-			if i == j {
+			end := ni * counts[j]
+			switch {
+			case i == j && ordered:
+				end = ni * (ni - 1)
+			case i == j:
 				end = ni * (ni - 1) / 2
-			} else {
-				end = ni * dist.Classes[j].Count
 			}
 			for b := int64(0); b < end; b += g.span {
 				e := b + g.span
@@ -204,9 +249,8 @@ func (g *Generator) Generate(dist *degseq.Distribution, m *probgen.Matrix, seed 
 		g.draws = append(g.draws, 0)
 	}
 	g.next.Store(0)
-	g.chunkArg.dist, g.chunkArg.seed, g.chunkArg.stop = dist, seed, stop
+	g.chunkArg.seed, g.chunkArg.ordered, g.chunkArg.stop = seed, ordered, stop
 	par.Execute(g.pool, g.workers, g.workers, g.chunkFn)
-	g.chunkArg.dist = nil
 
 	if stop.Stopped() {
 		return nil, par.ErrStopped
@@ -249,22 +293,30 @@ func recordSpaces(rec *obs.Recorder, chunks []chunk, buffers [][]graph.Edge, dra
 }
 
 // runChunkInto samples the Bernoulli process on [c.begin, c.end) of the
-// (c.ci, c.cj) space, appending into out (usually buf[:0] of a reusable
-// buffer). It also returns the number of geometric skip lengths drawn
+// (c.ci, c.cj) space of the given kind over the class layout offsets,
+// appending into out (usually buf[:0] of a reusable buffer). It also
+// returns the number of geometric skip lengths drawn
 // (the observability layer's per-space cost signal; the degenerate
 // prob >= 1 path emits without drawing, so it reports 0). The stop flag
 // is polled every few thousand draws; an abandoned chunk's buffer is
 // discarded by the caller.
 //
 //nullgraph:hotpath
-func runChunkInto(out []graph.Edge, dist *degseq.Distribution, offsets []int64, c chunk, src *rng.Source, stop *par.Stop) ([]graph.Edge, int64) {
+func runChunkInto(out []graph.Edge, offsets []int64, c chunk, ordered bool, src *rng.Source, stop *par.Stop) ([]graph.Edge, int64) {
 	if cap(out) == 0 {
 		expected := float64(c.end-c.begin) * c.prob
 		out = make([]graph.Edge, 0, int(expected*1.15)+8)
 	}
 	baseI := offsets[c.ci]
 	baseJ := offsets[c.cj]
-	nj := dist.Classes[c.cj].Count
+	nj := offsets[c.cj+1] - baseJ
+	sp := rectangular
+	switch {
+	case c.ci == c.cj && ordered:
+		sp = offDiagonal
+	case c.ci == c.cj:
+		sp = lowerTriangle
+	}
 	// x is the next candidate index; the first draw positions it at
 	// begin + skip.
 	if c.prob >= 1 {
@@ -274,7 +326,7 @@ func runChunkInto(out []graph.Edge, dist *degseq.Distribution, offsets []int64, 
 			if (x-c.begin)&8191 == 0 && stop.Stopped() {
 				return out, 0
 			}
-			out = append(out, decode(c.ci == c.cj, x, baseI, baseJ, nj))
+			out = append(out, decode(sp, x, baseI, baseJ, nj))
 		}
 		return out, 0
 	}
@@ -291,19 +343,38 @@ func runChunkInto(out []graph.Edge, dist *degseq.Distribution, offsets []int64, 
 		if ndraws&2047 == 0 && stop.Stopped() {
 			return out, ndraws
 		}
-		out = append(out, decode(c.ci == c.cj, x, baseI, baseJ, nj))
+		out = append(out, decode(sp, x, baseI, baseJ, nj))
 		x += 1 + skip.Next(src)
 		ndraws++
 	}
 	return out, ndraws
 }
 
+// space is how a class-pair space maps an index to a vertex pair.
+type space uint8
+
+const (
+	rectangular   space = iota // i != j: row-major over n_i·n_j pairs
+	lowerTriangle              // unordered diagonal: C(n_i, 2) pairs
+	offDiagonal                // ordered diagonal: n_i·(n_i−1) pairs, no self-pairs
+)
+
 // decode maps a space index to its global vertex pair.
 //
 //nullgraph:hotpath
-func decode(diagonal bool, x, baseI, baseJ, nj int64) graph.Edge {
-	if diagonal {
+func decode(sp space, x, baseI, baseJ, nj int64) graph.Edge {
+	switch sp {
+	case lowerTriangle:
 		u, v := triangular(x)
+		return graph.Edge{U: int32(baseI + u), V: int32(baseI + v)}
+	case offDiagonal:
+		// Row u has nj−1 columns; column r maps to v = r, skipping
+		// v == u.
+		u := x / (nj - 1)
+		v := x % (nj - 1)
+		if v >= u {
+			v++
+		}
 		return graph.Edge{U: int32(baseI + u), V: int32(baseI + v)}
 	}
 	u := x / nj
@@ -352,15 +423,13 @@ func GenerateBernoulliReference(dist *degseq.Distribution, m *probgen.Matrix, se
 		ni := dist.Classes[i].Count
 		for j := i; j < k; j++ {
 			prob := m.At(i, j)
-			var end int64
+			sp, end := rectangular, ni*dist.Classes[j].Count
 			if i == j {
-				end = ni * (ni - 1) / 2
-			} else {
-				end = ni * dist.Classes[j].Count
+				sp, end = lowerTriangle, ni*(ni-1)/2
 			}
 			for x := int64(0); x < end; x++ {
 				if src.Float64() < prob {
-					edges = append(edges, decode(i == j, x, offsets[i], offsets[j], dist.Classes[j].Count))
+					edges = append(edges, decode(sp, x, offsets[i], offsets[j], dist.Classes[j].Count))
 				}
 			}
 		}

@@ -21,6 +21,42 @@ func mustDist(t testing.TB, counts map[int64]int64) *degseq.Distribution {
 	return d
 }
 
+// kinds are the generator's two space kinds behind one call shape, so a
+// test takes the ordered kind as one more input. The ordered kind reads
+// d as a class layout; under a symmetric matrix it draws each unordered
+// pair's two orientations independently, so its expected size is twice
+// the unordered kind's.
+var kinds = []struct {
+	name    string
+	ordered bool
+	gen     func(d *degseq.Distribution, m *probgen.Matrix, opt Options) (*graph.EdgeList, error)
+}{
+	{"unordered", false, Generate},
+	{"ordered", true, func(d *degseq.Distribution, m *probgen.Matrix, opt Options) (*graph.EdgeList, error) {
+		counts := make([]int64, d.NumClasses())
+		for i, c := range d.Classes {
+			counts[i] = c.Count
+		}
+		return NewGenerator(opt).GenerateOrdered(counts, m, opt.Seed, opt.Stop)
+	}},
+}
+
+// isSimple reports no self-pair and no repeated pair, reading each edge
+// as the arc U→V when ordered.
+func isSimple(el *graph.EdgeList, ordered bool) bool {
+	if !ordered {
+		return el.CheckSimplicity().IsSimple()
+	}
+	seen := map[graph.Edge]bool{}
+	for _, e := range el.Edges {
+		if e.IsLoop() || seen[e] {
+			return false
+		}
+		seen[e] = true
+	}
+	return true
+}
+
 func TestTriangularDecode(t *testing.T) {
 	// Exhaustive bijection check over the first few thousand indices.
 	seen := map[[2]int64]bool{}
@@ -69,49 +105,59 @@ func TestGenerateIsSimple(t *testing.T) {
 func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 	d := mustDist(t, map[int64]int64{2: 2000, 7: 300, 40: 20})
 	m := probgen.Generate(d, 2)
-	a, err := Generate(d, m, Options{Workers: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(d, m, Options{Workers: 8, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Edges) != len(b.Edges) {
-		t.Fatalf("edge counts differ: %d vs %d", len(a.Edges), len(b.Edges))
-	}
-	for i := range a.Edges {
-		if a.Edges[i] != b.Edges[i] {
-			t.Fatalf("edge %d differs between worker counts: %v vs %v", i, a.Edges[i], b.Edges[i])
+	for _, k := range kinds {
+		a, err := k.gen(d, m, Options{Workers: 1, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	c, err := Generate(d, m, Options{Workers: 4, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.EqualAsSets(c) {
-		t.Error("different seeds gave identical graphs")
+		b, err := k.gen(d, m, Options{Workers: 8, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Edges) != len(b.Edges) {
+			t.Fatalf("%s: edge counts differ: %d vs %d", k.name, len(a.Edges), len(b.Edges))
+		}
+		for i := range a.Edges {
+			if a.Edges[i] != b.Edges[i] {
+				t.Fatalf("%s: edge %d differs between worker counts: %v vs %v", k.name, i, a.Edges[i], b.Edges[i])
+			}
+		}
+		c, err := k.gen(d, m, Options{Workers: 4, Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.EqualAsSets(c) {
+			t.Errorf("%s: different seeds gave identical graphs", k.name)
+		}
 	}
 }
 
 func TestGenerateEdgeCountNearExpectation(t *testing.T) {
 	d := mustDist(t, map[int64]int64{3: 3000, 10: 500, 50: 20})
 	m := probgen.Generate(d, 2)
-	want := probgen.ExpectedEdges(d, m)
-	var total float64
-	const trials = 20
-	for trial := 0; trial < trials; trial++ {
-		el, err := Generate(d, m, Options{Workers: 4, Seed: uint64(trial)})
-		if err != nil {
-			t.Fatal(err)
+	for _, k := range kinds {
+		want := probgen.ExpectedEdges(d, m)
+		if k.ordered {
+			want *= 2
 		}
-		total += float64(el.NumEdges())
-	}
-	mean := total / trials
-	// Binomial std ≈ sqrt(want) per trial; mean of 20 trials within 5σ/√20.
-	tol := 5 * math.Sqrt(want) / math.Sqrt(trials)
-	if math.Abs(mean-want) > tol {
-		t.Errorf("mean edges %v, want %v ± %v", mean, want, tol)
+		var total float64
+		const trials = 20
+		for trial := 0; trial < trials; trial++ {
+			el, err := k.gen(d, m, Options{Workers: 4, Seed: uint64(trial)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !isSimple(el, k.ordered) {
+				t.Fatalf("%s: output not simple", k.name)
+			}
+			total += float64(el.NumEdges())
+		}
+		mean := total / trials
+		// Binomial std ≈ sqrt(want) per trial; mean of 20 trials within 5σ/√20.
+		tol := 5 * math.Sqrt(want) / math.Sqrt(trials)
+		if math.Abs(mean-want) > tol {
+			t.Errorf("%s: mean edges %v, want %v ± %v", k.name, mean, want, tol)
+		}
 	}
 }
 
@@ -214,21 +260,28 @@ func TestGenerateChunkSplitEquivalent(t *testing.T) {
 }
 
 func TestGenerateProbabilityOne(t *testing.T) {
-	// P = 1 everywhere must produce the complete graph.
+	// P = 1 everywhere must produce the complete graph: 21 edges on 7
+	// vertices, or the complete loopless digraph's 42 arcs.
 	d := mustDist(t, map[int64]int64{3: 4, 9: 3}) // 7 vertices
 	m := probgen.NewMatrix(2)
 	m.Set(0, 0, 1)
 	m.Set(0, 1, 1)
 	m.Set(1, 1, 1)
-	el, err := Generate(d, m, Options{Workers: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if el.NumEdges() != 21 {
-		t.Errorf("complete graph on 7 vertices: %d edges, want 21", el.NumEdges())
-	}
-	if rep := el.CheckSimplicity(); !rep.IsSimple() {
-		t.Errorf("not simple: %+v", rep)
+	for _, k := range kinds {
+		el, err := k.gen(d, m, Options{Workers: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 21
+		if k.ordered {
+			want = 42
+		}
+		if el.NumEdges() != want {
+			t.Errorf("%s: complete graph on 7 vertices: %d edges, want %d", k.name, el.NumEdges(), want)
+		}
+		if !isSimple(el, k.ordered) {
+			t.Errorf("%s: not simple", k.name)
+		}
 	}
 }
 
@@ -265,17 +318,23 @@ func TestGenerateSingletonClasses(t *testing.T) {
 			m.Set(i, j, 1)
 		}
 	}
-	el, err := Generate(d, m, Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3 vertices, all cross pairs = 3 edges, no loops.
-	if el.NumEdges() != 3 {
-		t.Errorf("edges = %d, want 3", el.NumEdges())
-	}
-	for _, e := range el.Edges {
-		if e.IsLoop() {
-			t.Errorf("self-loop %v emitted", e)
+	for _, k := range kinds {
+		el, err := k.gen(d, m, Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 3 vertices, all cross pairs = 3 edges (6 arcs), no loops.
+		want := 3
+		if k.ordered {
+			want = 6
+		}
+		if el.NumEdges() != want {
+			t.Errorf("%s: edges = %d, want %d", k.name, el.NumEdges(), want)
+		}
+		for _, e := range el.Edges {
+			if e.IsLoop() {
+				t.Errorf("%s: self-loop %v emitted", k.name, e)
+			}
 		}
 	}
 }
@@ -287,6 +346,9 @@ func TestGenerateSingletonClasses(t *testing.T) {
 // are keyed by chunk index, so scheduling cannot move counts between
 // spaces).
 func TestGenerateRecordsSpaces(t *testing.T) {
+	if !obs.Enabled {
+		t.Skip("observability compiled out (nullgraph_noobs)")
+	}
 	d := mustDist(t, map[int64]int64{2: 2000, 7: 300, 40: 20})
 	m := probgen.Generate(d, 2)
 	collect := func(workers int) (*graph.EdgeList, *obs.EdgeSkipReport) {

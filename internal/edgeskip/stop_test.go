@@ -9,18 +9,20 @@ import (
 )
 
 // TestGenerateStopPreTripped: a tripped flag makes Generate bail with
-// par.ErrStopped and no graph.
+// par.ErrStopped and no graph, for either space kind.
 func TestGenerateStopPreTripped(t *testing.T) {
 	dist := mustDist(t, map[int64]int64{2: 200, 3: 100})
 	m := probgen.Generate(dist, 1)
 	stop := &par.Stop{}
 	stop.Set()
-	el, err := Generate(dist, m, Options{Workers: 2, Seed: 1, Stop: stop})
-	if !errors.Is(err, par.ErrStopped) {
-		t.Fatalf("got err %v, want par.ErrStopped", err)
-	}
-	if el != nil {
-		t.Fatal("stopped Generate returned a graph")
+	for _, k := range kinds {
+		el, err := k.gen(dist, m, Options{Workers: 2, Seed: 1, Stop: stop})
+		if !errors.Is(err, par.ErrStopped) {
+			t.Fatalf("%s: got err %v, want par.ErrStopped", k.name, err)
+		}
+		if el != nil {
+			t.Fatalf("%s: stopped Generate returned a graph", k.name)
+		}
 	}
 }
 
@@ -29,20 +31,22 @@ func TestGenerateStopPreTripped(t *testing.T) {
 func TestGenerateStopUntrippedBitIdentical(t *testing.T) {
 	dist := mustDist(t, map[int64]int64{2: 400, 5: 100, 9: 20})
 	m := probgen.Generate(dist, 1)
-	plain, err := Generate(dist, m, Options{Workers: 1, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	watched, err := Generate(dist, m, Options{Workers: 1, Seed: 7, Stop: &par.Stop{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Edges) != len(watched.Edges) {
-		t.Fatalf("edge counts differ: %d vs %d", len(plain.Edges), len(watched.Edges))
-	}
-	for i := range plain.Edges {
-		if plain.Edges[i] != watched.Edges[i] {
-			t.Fatalf("stop polling changed the output at edge %d", i)
+	for _, k := range kinds {
+		plain, err := k.gen(dist, m, Options{Workers: 1, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		watched, err := k.gen(dist, m, Options{Workers: 1, Seed: 7, Stop: &par.Stop{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plain.Edges) != len(watched.Edges) {
+			t.Fatalf("%s: edge counts differ: %d vs %d", k.name, len(plain.Edges), len(watched.Edges))
+		}
+		for i := range plain.Edges {
+			if plain.Edges[i] != watched.Edges[i] {
+				t.Fatalf("%s: stop polling changed the output at edge %d", k.name, i)
+			}
 		}
 	}
 }

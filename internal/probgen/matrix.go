@@ -9,9 +9,11 @@ package probgen
 
 import "fmt"
 
-// Matrix is a symmetric |D|×|D| matrix of pairwise class probabilities,
-// stored dense. P(i,j) is the probability that a *specific* vertex of
-// class i and a *specific* vertex of class j are connected.
+// Matrix is a dense |D|×|D| matrix of pairwise class probabilities.
+// P(i,j) is the probability that a *specific* vertex of class i and a
+// *specific* vertex of class j are connected. Set keeps it symmetric,
+// as the undirected model needs; SetOrdered writes one entry, so a
+// directed model can hold P(i→j) != P(j→i).
 type Matrix struct {
 	k    int
 	vals []float64
@@ -33,6 +35,10 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.vals[i*m.k+j] = v
 	m.vals[j*m.k+i] = v
 }
+
+// SetOrdered assigns P(i,j) alone: the probability of an arc from a
+// class-i vertex to a class-j vertex in a directed model.
+func (m *Matrix) SetOrdered(i, j int, v float64) { m.vals[i*m.k+j] = v }
 
 // Add accumulates into P(i,j) only (used while the two asymmetric
 // halves p_ij and p_ji are being built; call Symmetrize after).

@@ -37,10 +37,11 @@ func TestMatrixClamp(t *testing.T) {
 	m := NewMatrix(2)
 	m.Set(0, 0, -0.5)
 	m.Set(0, 1, 1.5)
+	m.SetOrdered(1, 0, 0.3) // a directed entry: P(1→0) != P(0→1)
 	m.Set(1, 1, 0.3)
 	m.Clamp()
-	if m.At(0, 0) != 0 || m.At(0, 1) != 1 || m.At(1, 1) != 0.3 {
-		t.Errorf("Clamp wrong: %v %v %v", m.At(0, 0), m.At(0, 1), m.At(1, 1))
+	if m.At(0, 0) != 0 || m.At(0, 1) != 1 || m.At(1, 0) != 0.3 || m.At(1, 1) != 0.3 {
+		t.Errorf("Clamp wrong: %v %v %v %v", m.At(0, 0), m.At(0, 1), m.At(1, 0), m.At(1, 1))
 	}
 }
 

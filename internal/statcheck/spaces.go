@@ -176,7 +176,7 @@ func Checks() []Check {
 		},
 		{
 			Name:           "edgeskip-marginals",
-			Description:    "edge-skipping per-pair Bernoulli marginals against the analytic P[i][j] (10 pairs, n=5)",
+			Description:    "edge-skipping per-pair Bernoulli marginals against the analytic P[i][j], unordered and ordered kinds (10 pairs + 20 ordered pairs, n=5)",
 			DefaultSamples: 4000,
 			Run: func(cfg Config) (*CheckResult, error) {
 				return runEdgeskipMarginals(cfg, "edgeskip-marginals", nil, 4000)
@@ -482,69 +482,96 @@ func runDirectedSwapUniformity(cfg Config, name string, n int64, defaultSamples 
 }
 
 // edgeskipFixture is the shared input of the marginals check: a 5-vertex
-// distribution with two degree classes and a hand-picked probability
-// matrix strictly inside (0,1), so every one of the 10 vertex pairs is a
-// testable Bernoulli marginal.
-func edgeskipFixture() (*degseq.Distribution, *probgen.Matrix, error) {
+// layout with two classes and hand-picked probability matrices strictly
+// inside (0,1) — a symmetric one for the unordered kind and an
+// asymmetric one for the ordered kind — so every one of the 10 vertex
+// pairs and 20 ordered pairs is a testable Bernoulli marginal.
+func edgeskipFixture() (*degseq.Distribution, *probgen.Matrix, *probgen.Matrix, error) {
 	dist, err := mustDist(map[int64]int64{1: 3, 2: 2})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	m := probgen.NewMatrix(2)
 	m.Set(0, 0, 0.25)
 	m.Set(0, 1, 0.5)
 	m.Set(1, 1, 0.75)
-	return dist, m, nil
+	arcs := probgen.NewMatrix(2)
+	arcs.SetOrdered(0, 0, 0.25)
+	arcs.SetOrdered(0, 1, 0.6)
+	arcs.SetOrdered(1, 0, 0.3)
+	arcs.SetOrdered(1, 1, 0.75)
+	return dist, m, arcs, nil
 }
 
 // runEdgeskipMarginals checks Algorithm IV.2's per-pair Bernoulli
-// marginals: every vertex pair (u, v) must be an edge with exactly
-// probability P[class(u)][class(v)]. perturb, when non-nil, modifies the
+// marginals for both space kinds: every vertex pair (u, v) must be an
+// edge with exactly probability P[class(u)][class(v)], and every ordered
+// pair u != v an arc with probability P_arcs[class(u)][class(v)]; an
+// emitted self-pair is an error. perturb, when non-nil, modifies the
 // probability vector the *statistic* expects (not the sampler's input) —
 // the biased-direction tests use it to prove the harness rejects a
 // mismatched model.
 func runEdgeskipMarginals(cfg Config, name string, perturb func(probs []float64), defaultSamples int) (*CheckResult, error) {
-	dist, m, err := edgeskipFixture()
+	dist, m, arcs, err := edgeskipFixture()
 	if err != nil {
 		return nil, err
 	}
-	n := int(dist.NumVertices())
+	n := int32(dist.NumVertices())
 	offsets := dist.VertexOffsets(1)
+	counts := []int64{dist.Classes[0].Count, dist.Classes[1].Count}
 
-	// Pair index k ↔ vertex pair (u, v), u < v, in lexicographic order.
-	type pair struct{ u, v int32 }
-	var pairs []pair
+	// One cell per unordered pair (u < v) and per ordered pair (u != v).
+	type cell struct {
+		ordered bool
+		e       graph.Edge
+	}
+	index := map[cell]int{}
 	var probs []float64
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
+	for u := int32(0); u < n; u++ {
+		for v := int32(0); v < n; v++ {
 			ci := degseq.ClassOfVertex(offsets, int64(u))
 			cj := degseq.ClassOfVertex(offsets, int64(v))
-			pairs = append(pairs, pair{int32(u), int32(v)})
-			probs = append(probs, m.At(ci, cj))
+			if u < v {
+				index[cell{false, graph.Edge{U: u, V: v}}] = len(probs)
+				probs = append(probs, m.At(ci, cj))
+			}
+			if u != v {
+				index[cell{true, graph.Edge{U: u, V: v}}] = len(probs)
+				probs = append(probs, arcs.At(ci, cj))
+			}
 		}
-	}
-	pairIndex := make(map[uint64]int, len(pairs))
-	for k, pr := range pairs {
-		pairIndex[graph.Edge{U: pr.u, V: pr.v}.Key()] = k
 	}
 	if perturb != nil {
 		perturb(probs)
 	}
 
 	gen := edgeskip.NewGenerator(edgeskip.Options{Workers: cfg.Workers})
-	return CheckBernoulliMarginals(name, probs, defaultSamples, cfg, func(attemptSeed uint64, i int, hit []bool) error {
-		el, err := gen.Generate(dist, m, SampleSeed(attemptSeed, i), nil)
-		if err != nil {
-			return err
-		}
+	mark := func(el *graph.EdgeList, ordered bool, hit []bool) error {
 		for _, e := range el.Edges {
-			k, ok := pairIndex[e.Key()]
+			if !ordered && e.U > e.V {
+				e.U, e.V = e.V, e.U
+			}
+			k, ok := index[cell{ordered, e}]
 			if !ok {
-				return fmt.Errorf("edge %v outside the pair space", e)
+				return fmt.Errorf("pair %v (ordered %v) outside the pair space", e, ordered)
 			}
 			hit[k] = true
 		}
 		return nil
+	}
+	return CheckBernoulliMarginals(name, probs, defaultSamples, cfg, func(attemptSeed uint64, i int, hit []bool) error {
+		seed := SampleSeed(attemptSeed, i)
+		el, err := gen.Generate(dist, m, seed, nil)
+		if err != nil {
+			return err
+		}
+		if err := mark(el, false, hit); err != nil {
+			return err
+		}
+		if el, err = gen.GenerateOrdered(counts, arcs, seed, nil); err != nil {
+			return err
+		}
+		return mark(el, true, hit)
 	})
 }
 

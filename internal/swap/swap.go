@@ -322,13 +322,14 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 // NewDirectedEngine prepares an engine running the directed chain on
 // el, reading each edge (U, V) as the arc U→V: the simple-digraph
 // analog of Algorithm III.1 that preserves every in- and out-degree
-// (see acceptDirected in policy.go). Space and Connected must be zero.
+// (see acceptDirected in policy.go). Space must be a simple cell and
+// Connected false.
 // Without Options.Pool the engine owns no goroutines — its phases
 // dispatch per-call workers — so Close is optional; an Options.Pool is
 // used as NewEngine uses it.
 func NewDirectedEngine(el *graph.EdgeList, opt Options) *Engine {
-	if opt.Space != graph.SimpleStub || opt.Connected {
-		panic("swap: the directed chain samples simple digraphs; Space and Connected must be zero")
+	if opt.Space.AllowsLoops() || opt.Space.AllowsMulti() || opt.Connected {
+		panic("swap: the directed chain samples simple digraphs; Space must be a simple cell and Connected false")
 	}
 	eng := newEngine(opt)
 	eng.useTable = true

@@ -342,20 +342,9 @@ func Generate(dist *DegreeDistribution, opt Options) (*Result, error) {
 // sample is abandoned, and ctx.Err() is returned. A ctx already
 // canceled on entry returns before any work.
 func GenerateContext(ctx context.Context, dist *DegreeDistribution, opt Options) (*Result, error) {
-	if err := ctxEntryErr(ctx); err != nil {
-		return nil, err
-	}
-	stop, release := par.WatchContext(ctx)
-	defer release()
-	copt := opt.core()
-	rec := opt.recorder()
-	copt.Recorder = rec
-	copt.Stop = stop
-	out, err := core.FromDistribution(dist, copt)
-	if err != nil {
-		return nil, ctxError(ctx, err)
-	}
-	return wrapResult(out, rec), nil
+	return oneShot(ctx, opt, func(e *core.Engine, stop *par.Stop) (*core.Result, error) {
+		return e.GenerateSample(dist, 0, stop)
+	})
 }
 
 // Shuffle mixes an existing graph in place with parallel double-edge
@@ -377,16 +366,25 @@ func Shuffle(g *Graph, opt Options) (*Result, error) {
 // swaps committed before the stop are kept. A ctx already canceled on
 // entry leaves g untouched.
 func ShuffleContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
+	return oneShot(ctx, opt, func(e *core.Engine, stop *par.Stop) (*core.Result, error) {
+		return e.ShuffleSample(g, 0, stop)
+	})
+}
+
+// oneShot runs sample 0 of a single-use session under ctx: the body of
+// every package-level entry point, so each is bit-identical (Workers=1)
+// to the first call on an Engine with the same Options.
+func oneShot(ctx context.Context, opt Options, sample func(*core.Engine, *par.Stop) (*core.Result, error)) (*Result, error) {
 	if err := ctxEntryErr(ctx); err != nil {
 		return nil, err
 	}
 	stop, release := par.WatchContext(ctx)
 	defer release()
-	copt := opt.core()
-	rec := opt.recorder()
+	copt, rec := opt.core(), opt.recorder()
 	copt.Recorder = rec
-	copt.Stop = stop
-	out, err := core.FromEdgeList(g, copt)
+	eng := core.NewEngine(copt)
+	defer eng.Close()
+	out, err := sample(eng, stop)
 	if err != nil {
 		return nil, ctxError(ctx, err)
 	}
