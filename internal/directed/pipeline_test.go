@@ -6,6 +6,8 @@ import (
 
 	"nullgraph/internal/core"
 	"nullgraph/internal/directed"
+	"nullgraph/internal/edgeskip"
+	"nullgraph/internal/probgen"
 )
 
 // The directed pipeline — directed probabilities, ordered-pair
@@ -20,6 +22,81 @@ func generate(d *directed.JointDistribution, opt core.Options) (*directed.ArcLis
 		return nil, nil, err
 	}
 	return &directed.ArcList{Arcs: directed.EdgesAsArcs(res.Graph.Edges), NumVertices: res.Graph.NumVertices}, res, nil
+}
+
+// generateArcs runs the ordered-pair edge-skipping stage alone: one
+// fresh Generator per call, so the returned arcs own their buffer.
+func generateArcs(d *directed.JointDistribution, m *probgen.Matrix, workers int, seed uint64) (*directed.ArcList, error) {
+	el, err := edgeskip.NewGenerator(edgeskip.Options{Workers: workers}).GenerateOrdered(d.Counts(), m, seed, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &directed.ArcList{Arcs: directed.EdgesAsArcs(el.Edges), NumVertices: el.NumVertices}, nil
+}
+
+func TestGenerateArcsSimpleAndSized(t *testing.T) {
+	d := directed.RandomJoint(t, 3000, 5, 17)
+	m := directed.GenerateProbabilities(d, 2)
+	want := directed.ExpectedArcs(d, m)
+	var total float64
+	const trials = 15
+	for trial := 0; trial < trials; trial++ {
+		al, err := generateArcs(d, m, 4, uint64(trial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := al.CheckSimplicity(); !rep.IsSimple() {
+			t.Fatalf("not simple: %+v", rep)
+		}
+		total += float64(al.NumArcs())
+	}
+	mean := total / trials
+	tol := 5 * math.Sqrt(want) / math.Sqrt(trials)
+	if math.Abs(mean-want) > tol {
+		t.Errorf("mean arcs %v, want %v ± %v", mean, want, tol)
+	}
+}
+
+func TestGenerateArcsDeterministicAcrossWorkers(t *testing.T) {
+	d := directed.RandomJoint(t, 1000, 4, 23)
+	m := directed.GenerateProbabilities(d, 1)
+	a, err := generateArcs(d, m, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := generateArcs(d, m, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Arcs) != len(b.Arcs) {
+		t.Fatalf("arc counts differ: %d vs %d", len(a.Arcs), len(b.Arcs))
+	}
+	for i := range a.Arcs {
+		if a.Arcs[i] != b.Arcs[i] {
+			t.Fatalf("arc %d differs across worker counts", i)
+		}
+	}
+}
+
+func TestGenerateArcsDiagonalExcludesLoops(t *testing.T) {
+	// One class, P=1: complete digraph without loops.
+	out := []int64{4, 4, 4, 4, 4}
+	in := []int64{4, 4, 4, 4, 4}
+	d := directed.FromJointDegrees(out, in)
+	m := probgen.NewMatrix(1)
+	m.SetOrdered(0, 0, 1)
+	al, err := generateArcs(d, m, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if al.NumArcs() != 20 {
+		t.Errorf("arcs = %d, want 20 (complete digraph on 5)", al.NumArcs())
+	}
+	for _, a := range al.Arcs {
+		if a.IsLoop() {
+			t.Fatalf("loop emitted: %v", a)
+		}
+	}
 }
 
 func TestPipelineEndToEnd(t *testing.T) {

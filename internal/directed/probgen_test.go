@@ -3,6 +3,8 @@ package directed
 import (
 	"math"
 	"testing"
+
+	"nullgraph/internal/probgen"
 )
 
 // TestRowResidualsNearZero is the row-sum property of the directed
@@ -93,5 +95,19 @@ func TestGenerateProbabilitiesWorkerInvariance(t *testing.T) {
 				t.Fatalf("P[%d][%d] differs across worker counts: %v vs %v", i, j, a.At(i, j), b.At(i, j))
 			}
 		}
+	}
+}
+
+// TestProbMatrixClamp: the directed heuristic's matrix is asymmetric, so
+// clamping must bound each ordered entry on its own.
+func TestProbMatrixClamp(t *testing.T) {
+	m := probgen.NewMatrix(2)
+	m.SetOrdered(0, 0, -0.5)
+	m.SetOrdered(0, 1, 1.7)
+	m.SetOrdered(1, 0, 0.3)
+	m.SetOrdered(1, 1, 1.0)
+	m.Clamp()
+	if m.At(0, 0) != 0 || m.At(0, 1) != 1 || m.At(1, 0) != 0.3 || m.At(1, 1) != 1 {
+		t.Errorf("clamp wrong: %v %v %v %v", m.At(0, 0), m.At(0, 1), m.At(1, 0), m.At(1, 1))
 	}
 }
