@@ -133,8 +133,11 @@ bench-check:
 # nullgraphd sized for the load, fire 200 requests at concurrency 16
 # with loadgen, and gate the emitted BENCH_serve.json with benchcheck's
 # absolute -serve gate (zero non-2xx, zero deadline misses, zero
-# payload verification failures). The server is always torn down, and
-# its log surfaces on failure.
+# payload verification failures). A second pass gives every request its
+# own seed, so every request needs an engine of a new shape; it is
+# gated the same way, and /metrics must then show no more idle engines
+# than the 16 admission slots. The server is always torn down, and its
+# log surfaces on failure.
 smoke-serve:
 	$(GO) build -o nullgraphd.smoke ./cmd/nullgraphd
 	./nullgraphd.smoke -addr 127.0.0.1:18080 -max-concurrent 16 -max-queue 64 \
@@ -145,12 +148,20 @@ smoke-serve:
 		|| { cat nullgraphd.smoke.log; kill `cat nullgraphd.smoke.pid`; exit 1; }
 	curl -sf http://127.0.0.1:18080/metrics | grep -E 'nullgraphd_(phase_seconds|stop_decisions)_total' \
 		|| { echo "smoke-serve: /metrics missing RunReport series"; kill `cat nullgraphd.smoke.pid`; exit 1; }
+	$(GO) run ./cmd/loadgen -url http://127.0.0.1:18080 \
+		-keys 200 -requests 200 -concurrency 16 -o BENCH_serve_churn.json \
+		|| { cat nullgraphd.smoke.log; kill `cat nullgraphd.smoke.pid`; exit 1; }
+	idle=`curl -sf http://127.0.0.1:18080/metrics | sed -n 's/^nullgraphd_pool_idle_engines //p'`; \
+	[ -n "$$idle" ] && [ "$$idle" -le 16 ] \
+		|| { echo "smoke-serve: $$idle idle engines after shape churn, want <= 16"; kill `cat nullgraphd.smoke.pid`; exit 1; }
 	kill `cat nullgraphd.smoke.pid`
 	$(GO) run ./cmd/benchcheck -serve BENCH_serve.json
+	$(GO) run ./cmd/benchcheck -serve BENCH_serve_churn.json
 	rm -f nullgraphd.smoke nullgraphd.smoke.pid
 
 # clean removes only derived measurement files; BENCH_swap.json and
 # BENCH_generate.json are committed baselines, not build products.
 clean:
 	rm -f BENCH_swap.head.json BENCH_generate.head.json \
-		BENCH_serve.json nullgraphd.smoke nullgraphd.smoke.pid nullgraphd.smoke.log
+		BENCH_serve.json BENCH_serve_churn.json \
+		nullgraphd.smoke nullgraphd.smoke.pid nullgraphd.smoke.log

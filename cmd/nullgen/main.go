@@ -115,9 +115,6 @@ func validateConfig(c config) error {
 			return fmt.Errorf("-dmin %d exceeds -dmax %d", c.DMin, c.DMax)
 		}
 	}
-	if c.Joint != "" && c.Report != "" {
-		return errors.New("-report is not supported with -joint (directed pipeline)")
-	}
 	if c.Adaptive && c.Mix {
 		return errors.New("-adaptive and -mix are mutually exclusive; pass at most one")
 	}
@@ -353,6 +350,7 @@ func generateDirected(ctx context.Context, c config) error {
 		SwapIterations:  c.Swaps,
 		MixUntilSwapped: c.Mix,
 		StopPolicy:      c.stopPolicy(),
+		CollectReport:   c.Report != "",
 	})
 	if err != nil {
 		return err
@@ -364,6 +362,11 @@ func generateDirected(ctx context.Context, c config) error {
 		}
 	} else if err := atomicfile.Write(c.Out, writeArcs); err != nil {
 		return err
+	}
+	if c.Report != "" && res.Report != nil {
+		if err := obs.WriteReportFile(c.Report, res.Report); err != nil {
+			return err
+		}
 	}
 	if !c.Quiet {
 		fmt.Fprintf(os.Stderr, "nullgen: digraph n=%d arcs=%d (target %d) | %d swap iterations%s\n",

@@ -41,7 +41,7 @@ func TestValidateConfig(t *testing.T) {
 		{"dmin zero", func(c *config) { c.DMin = 0 }, "-dmin"},
 		{"dmin above dmax", func(c *config) { c.DMin = 50; c.DMax = 10 }, "exceeds"},
 		{"gamma ignored without powerlaw", func(c *config) { c.PowerLaw = 0; c.DistFile = "d.txt"; c.Gamma = 0 }, ""},
-		{"report with joint", func(c *config) { c.PowerLaw = 0; c.Joint = "j.txt"; c.Report = "r.json" }, "-report"},
+		{"report with joint ok", func(c *config) { c.PowerLaw = 0; c.Joint = "j.txt"; c.Report = "r.json" }, ""},
 		{"report with powerlaw ok", func(c *config) { c.Report = "r.json" }, ""},
 		{"negative timeout", func(c *config) { c.Timeout = -time.Second }, "-timeout"},
 		{"positive timeout ok", func(c *config) { c.Timeout = 30 * time.Second }, ""},
@@ -75,44 +75,60 @@ func TestValidateConfig(t *testing.T) {
 }
 
 // TestRunEmitsReport drives the CLI entry end to end: a small power-law
-// run with -report must write both the edge list and a populated,
-// schema-tagged RunReport.
+// run, and a small -joint digraph run, with -report must each write
+// both the graph and a populated, schema-tagged RunReport.
 func TestRunEmitsReport(t *testing.T) {
-	dir := t.TempDir()
-	c := valid()
-	c.PowerLaw = 500
-	c.Swaps = 4
-	c.Quiet = true
-	c.Out = filepath.Join(dir, "graph.txt")
-	c.Report = filepath.Join(dir, "report.json")
-	if err := validateConfig(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), c); err != nil {
-		t.Fatal(err)
-	}
-	if fi, err := os.Stat(c.Out); err != nil || fi.Size() == 0 {
-		t.Fatalf("edge list output missing or empty: %v", err)
-	}
-	data, err := os.ReadFile(c.Report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep obs.RunReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if rep.Schema != obs.SchemaVersion {
-		t.Errorf("report schema = %q, want %q", rep.Schema, obs.SchemaVersion)
-	}
-	if rep.SwapTotals.Iterations != 4 || rep.SwapTotals.Attempts == 0 {
-		t.Errorf("report swap totals not populated: %+v", rep.SwapTotals)
-	}
-	if rep.EdgeSkip == nil || rep.EdgeSkip.TotalEdges == 0 {
-		t.Error("report missing edge-skip section")
-	}
-	if rep.Phases == nil {
-		t.Error("report missing phases section")
+	for _, tc := range []struct {
+		name   string
+		source func(c *config, dir string)
+	}{
+		{"powerlaw", func(c *config, _ string) { c.PowerLaw = 500 }},
+		{"joint", func(c *config, dir string) {
+			c.PowerLaw = 0
+			c.Joint = filepath.Join(dir, "joint.txt")
+			if err := os.WriteFile(c.Joint, []byte("2 2 50\n1 3 20\n3 1 20\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := valid()
+			tc.source(&c, dir)
+			c.Swaps = 4
+			c.Quiet = true
+			c.Out = filepath.Join(dir, "graph.txt")
+			c.Report = filepath.Join(dir, "report.json")
+			if err := validateConfig(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(context.Background(), c); err != nil {
+				t.Fatal(err)
+			}
+			if fi, err := os.Stat(c.Out); err != nil || fi.Size() == 0 {
+				t.Fatalf("graph output missing or empty: %v", err)
+			}
+			data, err := os.ReadFile(c.Report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rep obs.RunReport
+			if err := json.Unmarshal(data, &rep); err != nil {
+				t.Fatalf("report is not valid JSON: %v", err)
+			}
+			if rep.Schema != obs.SchemaVersion {
+				t.Errorf("report schema = %q, want %q", rep.Schema, obs.SchemaVersion)
+			}
+			if rep.SwapTotals.Iterations != 4 || rep.SwapTotals.Attempts == 0 {
+				t.Errorf("report swap totals not populated: %+v", rep.SwapTotals)
+			}
+			if rep.EdgeSkip == nil || rep.EdgeSkip.TotalEdges == 0 {
+				t.Error("report missing edge-skip section")
+			}
+			if rep.Phases == nil {
+				t.Error("report missing phases section")
+			}
+		})
 	}
 }
 

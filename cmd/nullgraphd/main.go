@@ -2,8 +2,9 @@
 // long-running, multi-tenant front end over pooled nullgraph.Engine
 // sessions (internal/serve). Requests POST a degree distribution and
 // stream back a generated edge list; identical (distribution, options)
-// requests share a pooled session and draw distinct samples of one
-// deterministic batch.
+// requests draw distinct samples of one deterministic batch, and warm
+// engines are reused across every request with the same options
+// (at most one idle engine per generation slot is kept).
 //
 //	nullgraphd -addr :8080 &
 //	curl -s -X POST --data-binary @dist.txt \
@@ -49,11 +50,10 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
 		workers       = flag.Int("workers", 1, "parallel width of each pooled engine (1 = deterministic per sample)")
-		maxConcurrent = flag.Int("max-concurrent", 0, "generation slots (0 = GOMAXPROCS)")
+		maxConcurrent = flag.Int("max-concurrent", 0, "generation slots, and the cap on idle pooled engines (0 = GOMAXPROCS)")
 		maxQueue      = flag.Int("max-queue", 0, "queued requests beyond the slots before 429 (0 = 4x slots)")
 		deadline      = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 		maxDeadline   = flag.Duration("max-deadline", 5*time.Minute, "cap on client-requested deadlines")
-		maxIdle       = flag.Int("max-idle", 4, "warm engines retained per fingerprint")
 		seed          = flag.Uint64("seed", 0, "base seed for requests that send none")
 	)
 	flag.Parse()
@@ -64,7 +64,6 @@ func main() {
 		MaxQueue:        *maxQueue,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
-		MaxIdlePerKey:   *maxIdle,
 		Seed:            *seed,
 	})
 	hs := &http.Server{

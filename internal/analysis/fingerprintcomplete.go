@@ -7,8 +7,9 @@ import (
 )
 
 // FingerprintComplete closes the "new option silently aliases into an
-// existing pool key" hole. internal/serve pools engines by a
-// fingerprint of (degree distribution, options); any sampling-relevant
+// existing pool key" hole. internal/serve keys sample batches by a
+// fingerprint of (degree distribution, options) and pools engines by
+// the same fingerprint of the options alone; any sampling-relevant
 // input that the fingerprint function fails to consume merges requests
 // that should not share a chain — PR 8 had to remember to fold in
 // Options.Space by hand, and nothing would have caught forgetting.

@@ -43,6 +43,7 @@ package edgeskip
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"nullgraph/internal/degseq"
@@ -208,26 +209,31 @@ func (g *Generator) generate(counts []int64, ordered bool, m *probgen.Matrix, se
 	}
 
 	// Enumerate chunks. Spaces with zero probability contribute nothing
-	// and are skipped outright.
-	g.chunks = g.chunks[:0]
-	for i := 0; i < k; i++ {
-		ni := counts[i]
-		j := i
+	// and are skipped outright. A first pass counts the chunks, so the
+	// chunk list and the per-chunk buffer and draw slots grow at most
+	// once per call, not by repeated doubling.
+	first := func(i int) int {
 		if ordered {
-			j = 0
+			return 0
 		}
-		for ; j < k; j++ {
+		return i
+	}
+	nchunks := 0
+	for i := 0; i < k; i++ {
+		for j := first(i); j < k; j++ {
+			if m.At(i, j) > 0 {
+				nchunks += int((spaceSize(counts, i, j, ordered) + g.span - 1) / g.span)
+			}
+		}
+	}
+	g.chunks = slices.Grow(g.chunks[:0], nchunks)
+	for i := 0; i < k; i++ {
+		for j := first(i); j < k; j++ {
 			prob := m.At(i, j)
 			if prob <= 0 {
 				continue
 			}
-			end := ni * counts[j]
-			switch {
-			case i == j && ordered:
-				end = ni * (ni - 1)
-			case i == j:
-				end = ni * (ni - 1) / 2
-			}
+			end := spaceSize(counts, i, j, ordered)
 			for b := int64(0); b < end; b += g.span {
 				e := b + g.span
 				if e > end {
@@ -242,11 +248,11 @@ func (g *Generator) generate(counts []int64, ordered bool, m *probgen.Matrix, se
 	// chunk's stream is keyed by its index so the result is independent
 	// of which worker runs it. Per-chunk buffers keep their capacity
 	// across calls; only growth allocates.
-	for len(g.buffers) < len(g.chunks) {
-		g.buffers = append(g.buffers, nil)
+	if grow := nchunks - len(g.buffers); grow > 0 {
+		g.buffers = append(g.buffers, make([][]graph.Edge, grow)...)
 	}
-	for len(g.draws) < len(g.chunks) {
-		g.draws = append(g.draws, 0)
+	if grow := nchunks - len(g.draws); grow > 0 {
+		g.draws = append(g.draws, make([]int64, grow)...)
 	}
 	g.next.Store(0)
 	g.chunkArg.seed, g.chunkArg.ordered, g.chunkArg.stop = seed, ordered, stop
@@ -260,11 +266,37 @@ func (g *Generator) generate(counts []int64, ordered bool, m *probgen.Matrix, se
 		recordSpaces(g.rec, g.chunks, g.buffers[:len(g.chunks)], g.draws[:len(g.chunks)])
 	}
 
+	// The output grows once, with room for later samples: an edge count
+	// is a sum of Bernoulli draws, so its variance is at most its mean,
+	// and four standard deviations of headroom keep a reused Generator
+	// from growing again on the next sample of the same distribution.
+	total := 0
+	for _, b := range g.buffers[:nchunks] {
+		total += len(b)
+	}
+	if total > cap(g.edges) {
+		g.edges = make([]graph.Edge, 0, total+4*int(math.Sqrt(float64(total))))
+	}
 	g.edges = g.edges[:0]
-	for _, b := range g.buffers[:len(g.chunks)] {
+	for _, b := range g.buffers[:nchunks] {
 		g.edges = append(g.edges, b...)
 	}
 	return graph.NewEdgeList(g.edges, int(n)), nil
+}
+
+// spaceSize is the number of vertex pairs in the (i, j) class-pair
+// space of the given kind: a diagonal space excludes self-pairs, and an
+// unordered one counts each pair once.
+func spaceSize(counts []int64, i, j int, ordered bool) int64 {
+	ni := counts[i]
+	switch {
+	case i != j:
+		return ni * counts[j]
+	case ordered:
+		return ni * (ni - 1)
+	default:
+		return ni * (ni - 1) / 2
+	}
 }
 
 // Generate draws a simple random graph whose class-pair edge

@@ -1,7 +1,8 @@
 // Package serve implements nullgraphd's service layer: a pool of
-// nullgraph.Engine sessions keyed by degree-distribution fingerprint,
-// an admission gate with bounded queueing, per-request deadlines, and
-// a Prometheus-text metrics surface fed by the library's RunReport v2
+// nullgraph.Engine sessions (sample counters per request fingerprint,
+// idle engines per options shape, one global idle cap), an admission
+// gate with bounded queueing, per-request deadlines, and a
+// Prometheus-text metrics surface fed by the library's RunReport v2
 // observability. cmd/nullgraphd is a thin flag-parsing wrapper around
 // this package; cmd/loadgen drives it. DESIGN.md §13 documents the
 // architecture.
@@ -41,17 +42,22 @@ func hash64(h, v uint64) uint64 {
 // together).
 const fingerprintVersion = 4
 
-// Fingerprint identifies an engine-compatible (distribution, options)
-// pair. Two requests share a pooled session — and therefore draw
-// distinct samples of one batch — exactly when their fingerprints are
-// equal: the same degree classes in the same order and the same
-// generation options (including the sampling space — engines hold
-// space-specific chain state, so two spaces must never share one).
-// Hashing the full class list keeps collisions across genuinely
+// Fingerprint identifies a request's (distribution, options) pair.
+// Requests with equal fingerprints are members of one sample batch:
+// the pool issues their sample indices from one counter, so they draw
+// distinct samples of the same seed. The hash covers the degree
+// classes in order and every generation option, including the sampling
+// space. Hashing the full class list keeps collisions across genuinely
 // different distributions vanishingly rare (64-bit FNV-1a); a collision
-// would only merge two pools, costing probability-matrix cache churn,
-// never correctness, because every request carries its own distribution
-// to GenerateContext.
+// would only make two batches share one counter, skipping indices in
+// each, never correctness.
+//
+// A nil dist hashes the options alone: the engine shape under which
+// the pool parks idle engines. Engines of one shape are
+// interchangeable whatever the distribution, because every request
+// carries its own distribution to GenerateContext; engines of
+// different shapes (another space, seed or stop policy, say) hold
+// different chain state and never serve each other's requests.
 //
 // The fingerprintcomplete analyzer holds this function to its contract:
 // every exported field of Options, converge.Policy, and the degree
@@ -89,6 +95,9 @@ func Fingerprint(dist *nullgraph.DegreeDistribution, opt nullgraph.Options) uint
 		h = hash64(h, math.Float64bits(p.MinEverSwapped))
 	} else {
 		h = hash64(h, 0)
+	}
+	if dist == nil {
+		return h
 	}
 	for _, c := range dist.Classes {
 		h = hash64(h, uint64(c.Degree))

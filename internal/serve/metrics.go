@@ -31,6 +31,9 @@ type Metrics struct {
 	edgesGenerated atomic.Int64
 	// samplesServed counts successful generation calls.
 	samplesServed atomic.Int64
+	// generatePanics counts requests whose generation or encoding
+	// panicked on the handler goroutine; each retired its engine.
+	generatePanics atomic.Int64
 
 	// Phase wall time totals in nanoseconds (RunReport v2 PhaseReport
 	// quantities, summed across requests).
@@ -141,6 +144,9 @@ func (m *Metrics) WritePrometheus(w io.Writer, pool *Pool) error {
 	p("# HELP nullgraphd_deadline_misses_total Requests whose generation deadline expired (504).\n")
 	p("# TYPE nullgraphd_deadline_misses_total counter\n")
 	p("nullgraphd_deadline_misses_total %d\n", m.deadlineMisses.Load())
+	p("# HELP nullgraphd_generate_panics_total Requests whose generation or encoding panicked (engine retired, 500 or aborted response).\n")
+	p("# TYPE nullgraphd_generate_panics_total counter\n")
+	p("nullgraphd_generate_panics_total %d\n", m.generatePanics.Load())
 	p("# HELP nullgraphd_samples_served_total Successful generation calls.\n")
 	p("# TYPE nullgraphd_samples_served_total counter\n")
 	p("nullgraphd_samples_served_total %d\n", m.samplesServed.Load())
@@ -164,7 +170,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, pool *Pool) error {
 		p("# HELP nullgraphd_pool_keys Distinct (distribution, options) fingerprints seen.\n")
 		p("# TYPE nullgraphd_pool_keys gauge\n")
 		p("nullgraphd_pool_keys %d\n", keys)
-		p("# HELP nullgraphd_pool_idle_engines Warm engine sessions parked in the pool.\n")
+		p("# HELP nullgraphd_pool_idle_engines Warm engine sessions parked in the pool (at most one per admission slot).\n")
 		p("# TYPE nullgraphd_pool_idle_engines gauge\n")
 		p("nullgraphd_pool_idle_engines %d\n", idle)
 	}
