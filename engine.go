@@ -21,7 +21,7 @@ var ErrEngineBusy = core.ErrEngineBusy
 // Engine is a reusable generation session. Where Generate and Shuffle
 // build and tear down every pipeline buffer per call, an Engine owns
 // them for its lifetime — the attachment-probability matrix (cached
-// while the distribution is unchanged), the edge-skip chunk and edge
+// for the last few distributions), the edge-skip chunk and edge
 // buffers, the swap engine with its hash table and permutation
 // scratch, and one persistent worker pool shared by all phases — so
 // repeated calls reach a steady state with near-zero allocations.

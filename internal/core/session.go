@@ -36,8 +36,8 @@ func SampleSeed(seed, sample uint64) uint64 {
 }
 
 // Engine is a reusable generation session: it owns every buffer the
-// pipeline needs — the probability matrix (cached while the
-// distribution is unchanged), the edge-skip generator's chunk and edge
+// pipeline needs — the probability matrix (cached for the last
+// few distributions), the edge-skip generator's chunk and edge
 // buffers, the swap engine with its hash table and permutation scratch,
 // and one persistent worker pool shared by all phases — so repeated
 // GenerateSample/ShuffleSample calls reach a steady state with
@@ -67,8 +67,8 @@ type Engine struct {
 	// silently racing on the shared buffers.
 	busy atomic.Bool
 
-	// prob and dprob cache the probability matrix of the last
-	// undirected and joint distribution.
+	// prob and dprob cache the probability matrices of the last few
+	// undirected and joint distributions.
 	prob  probCache[degseq.Class]
 	dprob probCache[directed.JointClass]
 
@@ -116,31 +116,64 @@ func NewEngine(opt Options) *Engine {
 // must not be used afterwards.
 func (e *Engine) Close() { e.pool.Close() }
 
-// probCache holds the probability matrix of the last distribution a
-// session drew from, keyed by a snapshot of its classes that each call
-// compares, so a changed distribution invalidates it.
+// probCache holds the probability matrices of the last few
+// distributions a session drew from, least recently used first, each
+// keyed by a snapshot of its classes that every call compares, so a
+// changed distribution never reads another's matrix. A session that
+// alternates between a handful of distributions (interleaved tenants
+// on a pooled engine, an ensemble over several degree sequences)
+// therefore rebuilds none of them — which matters once refinement
+// passes make a build cost more than the sample.
 type probCache[C comparable] struct {
+	entries []probEntry[C]
+}
+
+type probEntry[C comparable] struct {
 	m   *probgen.Matrix
 	key []C
 }
 
-// get returns the cached matrix when classes match the snapshot, and
+// probCacheEntries and probCacheCells bound the cache: at most this
+// many matrices, and the ones older than the newest hold at most this
+// many cells between them (8 MiB of float64), so a session that sees
+// huge class counts keeps only its newest matrix.
+const (
+	probCacheEntries = 4
+	probCacheCells   = 1 << 20
+)
+
+// get returns the cached matrix when classes match a snapshot, and
 // otherwise builds, caches and returns a new one. It reports
 // stopped=true, caching nothing, when build was interrupted.
 func (c *probCache[C]) get(classes []C, build func() (*probgen.Matrix, bool)) (*probgen.Matrix, bool) {
-	if c.m == nil || !slices.Equal(c.key, classes) {
-		m, stopped := build()
-		if stopped {
-			return nil, true
+	for i := len(c.entries) - 1; i >= 0; i-- {
+		if ent := c.entries[i]; slices.Equal(ent.key, classes) {
+			c.entries = append(slices.Delete(c.entries, i, i+1), ent)
+			return ent.m, false
 		}
-		c.m, c.key = m, append(c.key[:0], classes...)
 	}
-	return c.m, false
+	m, stopped := build()
+	if stopped {
+		return nil, true
+	}
+	c.entries = append(c.entries, probEntry[C]{m: m, key: slices.Clone(classes)})
+	for len(c.entries) > 1 {
+		older := 0
+		for _, ent := range c.entries[:len(c.entries)-1] {
+			older += ent.m.Dim() * ent.m.Dim()
+		}
+		if len(c.entries) <= probCacheEntries && older <= probCacheCells {
+			break
+		}
+		c.entries = slices.Delete(c.entries, 0, 1)
+	}
+	return m, false
 }
 
 // probabilities returns the class probability matrix for dist, serving
-// the cached one when the distribution is unchanged since the last
-// call. Reports stopped=true when the stop flag interrupted a rebuild.
+// a cached one when the session drew from the same distribution
+// recently. Reports stopped=true when the stop flag interrupted a
+// rebuild.
 func (e *Engine) probabilities(dist *degseq.Distribution, stop *par.Stop) (*probgen.Matrix, bool) {
 	return e.prob.get(dist.Classes, func() (*probgen.Matrix, bool) {
 		m, stopped := probgen.GenerateStop(dist, e.opt.Workers, stop)

@@ -8,6 +8,7 @@ import (
 
 	"nullgraph/internal/graph"
 	"nullgraph/internal/par"
+	"nullgraph/internal/probgen"
 )
 
 // cloneEdges snapshots an edge list's edges for later comparison.
@@ -104,8 +105,8 @@ func TestEngineProbabilityCacheInvalidation(t *testing.T) {
 		}
 	}
 
-	// Returning to distA must also rebuild (the cache is depth-1) and
-	// still serve the cached matrix on an immediate repeat.
+	// Returning to distA serves its matrix from the cache, which keeps
+	// the last few distributions', and so does an immediate repeat.
 	resA2, err := eng.GenerateSample(distA, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -114,8 +115,57 @@ func TestEngineProbabilityCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resA2.Probabilities != resA3.Probabilities {
-		t.Fatal("unchanged distribution rebuilt the probability matrix")
+	if resA2.Probabilities != probA || resA3.Probabilities != probA {
+		t.Fatal("a recently used distribution rebuilt the probability matrix")
+	}
+}
+
+// TestProbCacheBounds pins the matrix cache's eviction: least recently
+// used first beyond probCacheEntries matrices, and every older matrix
+// once those older than the newest exceed probCacheCells cells.
+func TestProbCacheBounds(t *testing.T) {
+	var c probCache[int]
+	builds := 0
+	get := func(key, dim int) *probgen.Matrix {
+		t.Helper()
+		m, stopped := c.get([]int{key}, func() (*probgen.Matrix, bool) {
+			builds++
+			return probgen.NewMatrix(dim), false
+		})
+		if stopped {
+			t.Fatal("unexpected stop")
+		}
+		return m
+	}
+	cached := func(key int) bool {
+		t.Helper()
+		before := builds
+		get(key, 2)
+		return builds == before
+	}
+
+	for key := 1; key <= probCacheEntries; key++ {
+		get(key, 2)
+	}
+	if !cached(1) {
+		t.Fatal("a matrix within the entry bound was rebuilt")
+	}
+	get(probCacheEntries+1, 2) // evicts key 2, the least recently used
+	if !cached(1) || cached(2) {
+		t.Fatal("eviction beyond the entry bound did not drop the least recently used matrix")
+	}
+
+	big := 1
+	for big*big <= probCacheCells {
+		big++
+	}
+	get(100, big)
+	if len(c.entries) == 1 {
+		t.Fatal("a big newest matrix evicted the older small ones")
+	}
+	get(101, 2) // the big matrix is now older and over the cell budget
+	if len(c.entries) != 1 || cached(100) {
+		t.Fatalf("%d entries after the cell budget was exceeded, want only the newest", len(c.entries))
 	}
 }
 

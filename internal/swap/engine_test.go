@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nullgraph/internal/graph"
+	"nullgraph/internal/hashtable"
 	"nullgraph/internal/obs"
 	"nullgraph/internal/permute"
 	"nullgraph/internal/rng"
@@ -166,6 +167,27 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 					n, it, gotStats[it], wantStats[it])
 			}
 		}
+	}
+}
+
+// TestEngineResetSizesTable pins the table's reuse bounds: a rebind to
+// a somewhat smaller input keeps the table, while one to a far smaller
+// input rebuilds it at size, so a small graph's iterations never sweep
+// a big graph's slots.
+func TestEngineResetSizesTable(t *testing.T) {
+	eng := NewEngine(ring(40000), Options{Workers: 1, Seed: 5})
+	defer eng.Close()
+	big := eng.table
+	eng.Reset(ring(20000))
+	if eng.table != big {
+		t.Fatal("a 2x smaller input rebuilt the table")
+	}
+	eng.Reset(ring(1000))
+	if eng.table == big {
+		t.Fatal("a 40x smaller input kept the big table")
+	}
+	if got, want := eng.table.NumSlots(), hashtable.New(2*1000, eng.opt.Probing).NumSlots(); got != want {
+		t.Fatalf("rebuilt table has %d slots, want a fresh engine's %d", got, want)
 	}
 }
 

@@ -199,6 +199,12 @@ func sweepWorkerSeed(sweepSeed uint64, w int) uint64 {
 	return rng.Mix64(sweepSeed) ^ rng.Mix64(uint64(w)+0x5134)
 }
 
+// maxTableSlack bounds how much larger than an input's need a rebound
+// engine's edge table may stay. Same-shape batch samples jitter far
+// less; an engine reused for a several times smaller graph rebuilds its
+// table instead of sweeping the big one every iteration.
+const maxTableSlack = 4
+
 // Engine holds the reusable state of the swap process on one edge list:
 // the concurrent edge table with its per-worker insertion counters, the
 // ever-swapped flags, the permutation target array, and the worker pool.
@@ -402,9 +408,12 @@ func (eng *Engine) bind(el *graph.EdgeList) {
 		if eng.rule == acceptDirected {
 			need = 3 * m
 		}
-		if eng.table == nil || eng.table.Capacity() < need {
+		// A table far larger than need (left by an earlier, bigger
+		// input) would cost a sweep of all its slots every iteration, so
+		// it is rebuilt at size, like a fresh engine's.
+		if eng.table == nil || eng.table.Capacity() < need || eng.table.Capacity() > maxTableSlack*need {
 			capacity := need
-			if eng.table != nil {
+			if eng.table != nil && eng.table.Capacity() < need {
 				// Rebind growth: batch samples over a same-shape input
 				// jitter in edge count, so a little slack absorbs the
 				// fluctuations instead of reallocating per sample. Slot
