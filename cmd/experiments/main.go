@@ -8,7 +8,9 @@
 //	experiments -exp table1 -max-vertices 500000
 //
 // Experiments: table1, fig1, fig2, fig3, fig4, fig5, fig6, swapscale,
-// all.
+// uniformity, ablation, mixingtime, connected, all. The output opens
+// with one provenance line: commit, CPU model, GOMAXPROCS, Go version
+// and the command line.
 package main
 
 import (
@@ -83,6 +85,7 @@ func realMain() int {
 	}
 
 	w := os.Stdout
+	fmt.Fprintln(w, experiments.Provenance(os.Args))
 	names := []string{*exp}
 	if *exp == "all" {
 		names = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "swapscale", "uniformity", "ablation", "mixingtime", "connected"}

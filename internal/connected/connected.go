@@ -9,38 +9,45 @@
 // The Checker maintains a cached BFS spanning-tree witness of the
 // current graph, stored as a parent array. A swap removes two edges and
 // adds two (degree-preserving), so connectivity can only break when a
-// removed edge is a witness tree edge:
+// removed edge is a witness tree edge. The tree minus its removed edges
+// splits the vertices into at most three fragments, each internally
+// connected by surviving tree edges:
 //
 //  1. Fast path: neither removed edge is a tree edge — the witness
 //     still spans the new graph, accept with two array comparisons and
 //     no traversal.
-//  2. Bounded path: for each removed tree edge, run a bounded
+//  2. Cut certificate: label the endpoints of the added edges g and h
+//     by their fragment, one walk up the parent pointers each. Accept
+//     with no search when g or h joins the two fragments one removed
+//     tree edge leaves, or, with two removed, when g and h each join
+//     two different fragments: {g, h} rewires the endpoints of the
+//     removed edges, which lie in fragments {P, Q, Q, R}, so that is
+//     exactly when they span all three.
+//  3. Bounded path: for each removed tree edge, run a bounded
 //     bidirectional BFS between its endpoints in the post-swap graph.
-//     The tree minus its removed edges splits the vertices into at
-//     most three fragments, each internally connected by surviving
-//     tree edges; reconnecting every removed tree edge's endpoint pair
-//     re-links the fragments along the old tree topology, so "every
-//     pair reconnects" implies the whole graph is connected. A search
-//     that exhausts one side without meeting the other has fully
-//     explored that side's component and proves disconnection.
-//  3. Full fallback: a bounded search that hits its visit budget while
+//     Reconnecting every removed tree edge's endpoint pair re-links the
+//     fragments along the old tree topology, so "every pair
+//     reconnects" implies the whole graph is connected. A search that
+//     exhausts one side without meeting the other has fully explored
+//     that side's component and proves disconnection.
+//  4. Full fallback: a bounded search that hits its visit budget while
 //     both frontiers are alive is inconclusive; fall back to one full
 //     BFS from vertex 0.
 //
 // Accepting a swap that touched the tree repairs the witness locally:
 // each removed tree edge detaches its child's subtree, and an edge of
-// the new graph that crosses that cut (g or h, else the first crossing
-// edge on the path the bounded search found) re-attaches it after the
-// subtree is re-rooted at the crossing edge's inner end. The witness
-// stays a spanning tree, though no longer a BFS tree. The witness is
-// rebuilt as a BFS tree instead when a search fell through to the full
-// BFS, which saves no path but leaves its own BFS tree to adopt, or
-// when a subtree-membership walk up the parent pointers runs past the
-// search budget, which costs one more BFS and bounds how deep the tree
-// can drift. A belt-and-braces full recheck runs every
-// recheckEvery accepted swaps: it verifies connectivity and that the
-// witness is a spanning tree of the current graph, and panics on an
-// invariant breach. DESIGN.md §16 tabulates the cost model.
+// the new graph that crosses that cut (the certificate's g or h, else
+// the first crossing edge on the path the bounded search found)
+// re-attaches it after the subtree is re-rooted at the crossing edge's
+// inner end. The witness stays a spanning tree, though no longer a BFS
+// tree. The witness is rebuilt as a BFS tree instead when a search fell
+// through to the full BFS, which saves no path but leaves its own BFS
+// tree to adopt, or when a subtree-membership walk up the parent
+// pointers runs past the search budget, which costs one more BFS and
+// bounds how deep the tree can drift. A belt-and-braces full recheck
+// runs every recheckEvery accepted swaps: it verifies connectivity and
+// that the witness is a spanning tree of the current graph, and panics
+// on an invariant breach. DESIGN.md §16 tabulates the cost model.
 //
 // The Checker is not safe for concurrent use; the serial connected
 // chain in internal/swap owns one per engine.
@@ -59,7 +66,9 @@ const (
 	// swap-local disconnections are small cycles split off the giant
 	// component, so a small budget resolves the overwhelming majority
 	// of tree-touching proposals without an O(n+m) traversal. It also
-	// caps each parent-pointer walk of the witness repair.
+	// caps each parent-pointer walk of the cut certificate and of the
+	// witness repair: a certificate walk past it falls through to the
+	// search, and a repair walk past it to a rebuild.
 	defaultBound = 256
 	// defaultRecheckEvery is the accepted-swap period of the
 	// belt-and-braces full connectivity recheck.
@@ -67,7 +76,10 @@ const (
 )
 
 // Stats counts connectivity-check outcomes; they feed the RunReport's
-// connectivity section (obs.ConnectivityReport).
+// connectivity section (obs.ConnectivityReport). A proposal the cut
+// certificate accepts bumps Proposals alone (and FullRechecks when the
+// periodic recheck falls due), so BoundedChecks and the counters after
+// it count only the proposals the certificate left unsettled.
 type Stats struct {
 	// Proposals is the number of swaps submitted to the checker.
 	Proposals int64
@@ -261,6 +273,10 @@ func (c *Checker) SwapKeepsConnected(e, f, g, h graph.Edge) bool {
 	}
 	// A removed edge is a tree edge: apply tentatively and verify.
 	c.apply(e, f, g, h)
+	if c.certify(e, f, g, h) {
+		c.maybeRecheck()
+		return true
+	}
 	if c.stillConnected(e, f) {
 		if !c.repairWitness(e, f, g, h) {
 			// Rebuild. A full BFS that settled the verdict has already
@@ -277,6 +293,58 @@ func (c *Checker) SwapKeepsConnected(e, f, g, h graph.Edge) bool {
 	c.apply(g, h, e, f) // roll back
 	c.stats.RejectedDisconnecting++
 	return false
+}
+
+// certify tries to prove without a search that the applied swap kept
+// the graph connected, and on success repairs the witness. Removing the
+// tree edges among e and f from the witness leaves fragments, each
+// still connected by its surviving tree edges: the root's (label 0) and
+// the subtree of each removed edge's child (labels 1 and 2). The new
+// graph is connected when g and h join the fragments into one, and then
+// the witness minus its removed edges plus the joining edges is a
+// spanning tree of it. With one tree edge removed, g or h must cross
+// the cut. With two, {g, h} rewires the endpoints of {e, f}, which lie
+// in fragments {P, Q, Q, R}; g and h span all three exactly when each
+// joins two different fragments. certify reports false, having changed
+// nothing, when no certificate exists or a labelling walk passes the
+// search budget.
+//
+//nullgraph:hotpath
+func (c *Checker) certify(e, f, g, h graph.Edge) bool {
+	a, b := c.treeChild(e), c.treeChild(f)
+	if a < 0 || b < 0 {
+		return c.hangCrossing(max(a, b), g, h) > 0
+	}
+	lg := [2]int{c.fragment(g.U, a, b), c.fragment(g.V, a, b)}
+	lh := [2]int{c.fragment(h.U, a, b), c.fragment(h.V, a, b)}
+	if min(lg[0], lg[1], lh[0], lh[1]) < 0 || lg[0] == lg[1] || lh[0] == lh[1] {
+		return false
+	}
+	// The fragments form a path through g and h, and at least one of
+	// them joins a subtree fragment k to the root's: hang k through that
+	// edge and the other subtree fragment through the other one.
+	if lg[0] != 0 && lg[1] != 0 {
+		g, h, lg, lh = h, g, lh, lg
+	}
+	child := [3]int32{-1, a, b}
+	k := lg[0] + lg[1]
+	c.hang(g, lg, k, child[k])
+	c.hang(h, lh, 3-k, child[3-k])
+	return true
+}
+
+// treeChild returns the child endpoint of t when t is a witness tree
+// edge, and -1 otherwise.
+//
+//nullgraph:hotpath
+func (c *Checker) treeChild(t graph.Edge) int32 {
+	switch {
+	case c.parent[t.U] == t.V:
+		return t.U
+	case c.parent[t.V] == t.U:
+		return t.V
+	}
+	return -1
 }
 
 // stillConnected verifies post-swap connectivity given that at least
@@ -421,66 +489,64 @@ func (c *Checker) repairWitness(e, f, g, h graph.Edge) bool {
 // relink replaces tree edge t, absent from the graph, with a graph edge
 // (x, y) that crosses the cut t leaves: x in the subtree of t's child
 // endpoint, y outside it. It tries g and h first, then the edges of
-// path (t.U … t.V) in order, re-roots the subtree at x by reversing the
-// parent pointers from x up to the child, and hangs x under y.
+// path (t.U … t.V) in order, and hangs the subtree on y through x.
 func (c *Checker) relink(t, g, h graph.Edge, path []int32) bool {
-	child := t.V
-	if c.parent[t.U] == t.V {
-		child = t.U
+	child := c.treeChild(t)
+	switch c.hangCrossing(child, g, h) {
+	case 1:
+		return true
+	case -1:
+		return false
 	}
-	x, y := int32(-1), int32(-1)
-	for _, r := range [2]graph.Edge{g, h} {
-		a, b := c.inSubtree(r.U, child), c.inSubtree(r.V, child)
-		if a < 0 || b < 0 {
+	prev := 0
+	if path[0] == child {
+		prev = 1
+	}
+	for i := 1; i < len(path); i++ {
+		side := c.fragment(path[i], child, -1)
+		if side < 0 {
 			return false
 		}
-		if a != b {
-			x, y = r.U, r.V
-			if b == 1 {
-				x, y = r.V, r.U
-			}
-			break
+		if side != prev {
+			c.hang(graph.Edge{U: path[i-1], V: path[i]}, [2]int{prev, side}, 1, child)
+			return true
 		}
 	}
-	if x < 0 {
-		prev := 0
-		if path[0] == child {
-			prev = 1
-		}
-		for i := 1; i < len(path); i++ {
-			side := c.inSubtree(path[i], child)
-			if side < 0 {
-				return false
-			}
-			if side != prev {
-				x, y = path[i-1], path[i]
-				if side == 1 {
-					x, y = path[i], path[i-1]
-				}
-				break
-			}
-		}
-		if x < 0 {
-			return false // unreachable while the witness is a spanning tree
-		}
-	}
-	prev, w := y, x
-	for w != child {
-		up := c.parent[w]
-		c.parent[w] = prev
-		prev, w = w, up
-	}
-	c.parent[child] = prev
-	return true
+	return false // unreachable while the witness is a spanning tree
 }
 
-// inSubtree walks parent pointers up from v and returns 1 when it
-// reaches child (v is in child's subtree), 0 when it reaches the root
-// first, and -1 when it gives up after bound steps.
-func (c *Checker) inSubtree(v, child int32) int {
-	for steps := 0; ; steps++ {
-		if v == child {
+// hangCrossing hangs the subtree of child through the first of g and h
+// that crosses its cut and returns 1; it returns 0 when neither
+// crosses, and -1 when a walk gave up first.
+//
+//nullgraph:hotpath
+func (c *Checker) hangCrossing(child int32, g, h graph.Edge) int {
+	for _, r := range [2]graph.Edge{g, h} {
+		l := [2]int{c.fragment(r.U, child, -1), c.fragment(r.V, child, -1)}
+		if l[0] < 0 || l[1] < 0 {
+			return -1
+		}
+		if l[0] != l[1] {
+			c.hang(r, l, 1, child)
 			return 1
+		}
+	}
+	return 0
+}
+
+// fragment walks parent pointers up from v and returns 1 when it
+// reaches a first, 2 when it reaches b first (v lies in that vertex's
+// subtree), 0 when it reaches the root, and -1 when it gives up after
+// bound steps. Pass -1 for b to test membership in a's subtree alone.
+//
+//nullgraph:hotpath
+func (c *Checker) fragment(v, a, b int32) int {
+	for steps := 0; ; steps++ {
+		switch v {
+		case a:
+			return 1
+		case b:
+			return 2
 		}
 		up := c.parent[v]
 		if up < 0 {
@@ -491,6 +557,27 @@ func (c *Checker) inSubtree(v, child int32) int {
 		}
 		v = up
 	}
+}
+
+// hang re-attaches the subtree of child, the fragment labelled k, to
+// the rest of the witness through graph edge r, whose endpoint labels
+// are l: it re-roots the subtree at r's endpoint x inside it by
+// reversing the parent pointers from x up to child, and hangs x under
+// r's other endpoint.
+//
+//nullgraph:hotpath
+func (c *Checker) hang(r graph.Edge, l [2]int, k int, child int32) {
+	x, y := r.U, r.V
+	if l[0] != k {
+		x, y = r.V, r.U
+	}
+	prev, w := y, x
+	for w != child {
+		up := c.parent[w]
+		c.parent[w] = prev
+		prev, w = w, up
+	}
+	c.parent[child] = prev
 }
 
 // fullReach BFS-explores from vertex 0 and returns the number of

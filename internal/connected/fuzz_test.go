@@ -76,3 +76,82 @@ func seedBytes(degrees ...uint32) []byte {
 	}
 	return b
 }
+
+// FuzzCheckerChain runs a swap chain decoded from the fuzz bytes
+// through one Checker, so the witness drifts across proposals as it
+// does in the connected chain. The graph is a random recursive tree
+// plus chords on up to 16 vertices; every later 3-byte group proposes
+// the swap of two edge positions with one of the two rewirings. Every
+// verdict must equal a from-scratch component count of the post-swap
+// graph, every accept must leave the witness a spanning tree of it,
+// and the recheck after every accept must not panic.
+func FuzzCheckerChain(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{6, 0, 0, 1, 2, 3, 4, 1, 0, 3, 0, 4, 1, 1, 3, 0, 2, 5, 1})        // cycle-like, bound 2
+	f.Add([]byte{10, 7, 0, 0, 1, 1, 2, 3, 5, 4, 9, 2, 8, 5, 1, 7, 3, 0, 2, 6, 1}) // default bound
+	f.Add([]byte{16, 3, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 3, 9, 12, 0, 15, 4, 2, 7, 1, 11, 5, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 2 + int(data[0])%15
+		bound := defaultBound
+		if data[1]%2 == 0 {
+			bound = int(data[1]) % 8 // small budgets force every fallback
+		}
+		chords := int(data[2]) % (2 * n)
+		data = data[3:]
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		edges := make([]graph.Edge, 0, n-1+chords)
+		seen := make(map[uint64]bool)
+		for v := 1; v < n; v++ {
+			e := graph.Edge{U: int32(next() % v), V: int32(v)}
+			seen[e.Key()] = true
+			edges = append(edges, e)
+		}
+		for k := 0; k < chords; k++ {
+			e := graph.Edge{U: int32(next() % n), V: int32(next() % n)}
+			if e.IsLoop() || seen[e.Key()] {
+				continue
+			}
+			seen[e.Key()] = true
+			edges = append(edges, e)
+		}
+		el := graph.NewEdgeList(edges, n)
+		c := NewChecker()
+		c.SetBound(bound)
+		c.SetRecheckEvery(1)
+		if err := c.Bind(el); err != nil {
+			t.Fatalf("Bind: %v", err)
+		}
+		m := len(el.Edges)
+		for len(data) >= 3 {
+			i, j, coin := next()%m, next()%m, next()%2
+			e, f := el.Edges[i], el.Edges[j]
+			g, h := graph.Edge{U: e.U, V: f.U}, graph.Edge{U: e.V, V: f.V}
+			if coin == 1 {
+				g, h = graph.Edge{U: e.U, V: f.V}, graph.Edge{U: e.V, V: f.U}
+			}
+			if !validProposal(el, i, j, g, h) {
+				continue
+			}
+			got := c.SwapKeepsConnected(e, f, g, h)
+			after := el.Clone()
+			after.Edges[i], after.Edges[j] = g, h
+			if _, count := graph.ConnectedComponents(after, 1); got != (count == 1) {
+				t.Fatalf("swap (%v,%v)->(%v,%v): checker says %v, graph has %d components", e, f, g, h, got, count)
+			}
+			if got {
+				el = after
+			}
+			assertWitness(t, c, el)
+		}
+	})
+}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -454,5 +456,34 @@ func TestCollectRunReport(t *testing.T) {
 	cfg.Datasets = []string{"no-such-dataset"}
 	if _, err := CollectRunReport(cfg); err == nil {
 		t.Error("empty dataset selection accepted")
+	}
+}
+
+// TestProvenanceHeader checks the header every experiments output opens
+// with, for a toy-size command line: one line naming the commit, the
+// CPU, GOMAXPROCS and the Go version, then the command with args[0]
+// reduced to its base name and an arg holding a space quoted.
+func TestProvenanceHeader(t *testing.T) {
+	got := Provenance([]string{"/tmp/build/experiments", "-exp", "connected", "-max-vertices", "400", "-datasets", "as20,Meso", "-cpuprofile", "a b.prof"})
+	if strings.Contains(got, "\n") {
+		t.Fatalf("header spans lines: %q", got)
+	}
+	fields := strings.Split(got, " | ")
+	if len(fields) != 5 {
+		t.Fatalf("header has %d fields, want 5: %q", len(fields), got)
+	}
+	for i, prefix := range []string{"# commit ", "cpu "} {
+		if !strings.HasPrefix(fields[i], prefix) || fields[i] == prefix {
+			t.Fatalf("field %d = %q, want %q and a value", i, fields[i], prefix)
+		}
+	}
+	if want := "GOMAXPROCS " + strconv.Itoa(runtime.GOMAXPROCS(0)); fields[2] != want {
+		t.Fatalf("field 2 = %q, want %q", fields[2], want)
+	}
+	if fields[3] != runtime.Version() {
+		t.Fatalf("field 3 = %q, want %q", fields[3], runtime.Version())
+	}
+	if want := `experiments -exp connected -max-vertices 400 -datasets as20,Meso -cpuprofile "a b.prof"`; fields[4] != want {
+		t.Fatalf("command = %q, want %q", fields[4], want)
 	}
 }

@@ -46,7 +46,8 @@ func (eng *Engine) ConnectivityStats() *connected.Stats {
 // stepConnected runs one serial connectivity-preserving sweep: ⌊m/2⌋
 // proposals, each accepted iff it keeps the graph simple (live
 // multiset check, as stepVertex) and connected (checker hierarchy:
-// witness fast path, bounded bidirectional BFS, full-BFS fallback).
+// witness fast path, cut certificate, bounded bidirectional BFS,
+// full-BFS fallback).
 func (eng *Engine) stepConnected() (IterStats, bool) {
 	m := len(eng.el.Edges)
 	it := eng.iteration

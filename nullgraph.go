@@ -125,7 +125,8 @@ func SpaceNames() []string { return graph.SpaceNames() }
 // Options.Connected is set (internal/connected): how many proposals
 // each tier of the Viger–Latapy check hierarchy resolved — witness
 // fast path, bounded bidirectional BFS, full BFS — and how many were
-// rejected for disconnecting the graph.
+// rejected for disconnecting the graph. Proposals that the cut
+// certificate settled fall in none of the tier counters.
 type ConnectivityStats = connected.Stats
 
 // SimplifyStats reports the targeted simplification pass Shuffle runs
