@@ -175,8 +175,8 @@ func treePlusChords(n, m int, seed uint64) *graph.EdgeList {
 
 // TestGoldenConnectedChain pins the exact output of the serial
 // connected chain on a sparse connected graph (tree plus chords), where
-// most proposals remove a witness-tree edge and go through the bounded
-// search. The connectivity verdicts are exact whatever the checker's
+// most proposals remove a witness-tree edge and go through the cut
+// certificate or the bounded search. The connectivity verdicts are exact whatever the checker's
 // internal witness looks like, so any change to how the witness is
 // kept must leave this hash alone. The chain is serial, so Workers=4
 // must give the same hash as Workers=1.
