@@ -101,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadEdgeListText -fuzztime=10s ./internal/graph
 	$(GO) test -run='^$$' -fuzz=FuzzConnectedSeed -fuzztime=10s ./internal/connected
 	$(GO) test -run='^$$' -fuzz=FuzzCheckerChain -fuzztime=10s ./internal/connected
+	$(GO) test -run='^$$' -fuzz=FuzzTestAndSetPairs -fuzztime=10s ./internal/hashtable
 
 # bench-swap emits BENCH_swap.json: ns/op, allocs/op, B/op and
 # swaps/sec for one engine Step on a 1M-edge graph. The hot path's

@@ -100,6 +100,29 @@ func TestLoadAll(t *testing.T) {
 	}
 }
 
+func TestLoadAllSmallAnalogs(t *testing.T) {
+	// At 400 vertices the dense analogs' degree cutoff is floored far
+	// above what n supports, so the graphicality repair needs thousands
+	// of steps; every analog must still build (`experiments -exp table1
+	// -max-vertices 400`, whose default seed is 1).
+	all, err := LoadAll(LoadOptions{MaxVertices: 400, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range Table1() {
+		d := all[s.Name]
+		if d.NumVertices() != 400 {
+			t.Errorf("%s: %d vertices, want 400", s.Name, d.NumVertices())
+		}
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+		if !d.IsGraphical() {
+			t.Errorf("%s: not graphical", s.Name)
+		}
+	}
+}
+
 func TestLoadDeterministic(t *testing.T) {
 	s, _ := ByName("WikiTalk")
 	a, err := Load(s, LoadOptions{MaxVertices: 10_000, Seed: 5})

@@ -130,9 +130,13 @@ func moveOne(d *Distribution, i int, newDeg int64) {
 
 // nudgeGraphical decreases the maximum degree until the sequence passes
 // Erdős–Gallai. Power-law draws with d_max < n are almost always
-// graphical already; the loop exists for adversarial parameter choices.
+// graphical already; the loop exists for adversarial parameter choices
+// and for small analogs whose cutoff is floored high against n. Each
+// step keeps the stub total and moves one unit of degree from the top
+// of the sequence to its bottom, so the stub total bounds the number of
+// steps; a fixed cap of 1024 cut off repairs that needed more.
 func nudgeGraphical(d *Distribution) error {
-	for iter := 0; iter < 1024; iter++ {
+	for iter, steps := int64(0), d.NumStubs(); iter < steps; iter++ {
 		if d.IsGraphical() {
 			return nil
 		}

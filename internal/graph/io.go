@@ -182,7 +182,8 @@ func ReadEdgeListBinary(r io.Reader) (*EdgeList, error) {
 	if magic != binaryMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x", magic)
 	}
-	if n > 1<<31 {
+	// The vertex count must itself fit in int32, as in the text reader.
+	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: vertex count %d exceeds int32 range", n)
 	}
 	capHint := m

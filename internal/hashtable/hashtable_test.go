@@ -539,6 +539,35 @@ func BenchmarkWriterTestAndSet(b *testing.B) {
 	}
 }
 
+// BenchmarkWriterInsertKeys is BenchmarkWriterTestAndSet through the
+// batch form the swap engine's register phase uses: the same keys and
+// table, inserted 512 keys per InsertKeys call (the sweep's sub-block).
+func BenchmarkWriterInsertKeys(b *testing.B) {
+	const m = 194_000
+	const batch = 512
+	keys := make([]uint64, m)
+	r := rng.New(5)
+	for i := range keys {
+		keys[i] = r.Uint64()
+	}
+	for _, path := range writerPaths {
+		b.Run(path, func(b *testing.B) {
+			s := New(2*m, Linear)
+			ws := newWriters(s, path)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s.ClearWriters(ws, 1)
+				b.StartTimer()
+				for lo := 0; lo < m; lo += batch {
+					ws[0].InsertKeys(keys[lo:min(lo+batch, m)])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/key")
+		})
+	}
+}
+
 func benchInsert(b *testing.B, probing Probing) {
 	s := New(b.N+1, probing)
 	r := rng.New(1)

@@ -106,8 +106,8 @@ func arcKey(e graph.Edge) uint64 {
 // rejectProbed is the duplicate test of the table-backed rules with
 // instrumentation: it probes keys gk and then hk like the plain path's
 // two TestAndSet calls, files both probe lengths, and attributes a
-// rejection to the first or the partner edge. It stays out of the
-// sweep's plain path so that path keeps TestAndSet inlined.
+// rejection to the first or the partner edge. The sweep's plain path
+// admits a whole sub-block with one TestAndSetPairs call instead.
 //
 //nullgraph:hotpath
 func rejectProbed(wtr *hashtable.Writer, cell *obs.Counters, gk, hk uint64) bool {

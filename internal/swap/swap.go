@@ -4,6 +4,7 @@
 //
 // Each iteration:
 //  1. every current edge is inserted into a concurrent hash table,
+//     512 keys per table call (hashtable.Writer.InsertKeys),
 //  2. the edge list is randomly permuted: the inside-out shuffle's
 //     targets are drawn in parallel from per-worker streams, then one
 //     serial pass applies them (see the permute package doc for why the
@@ -11,7 +12,12 @@
 //  3. adjacent disjoint pairs (E[2k], E[2k+1]) each propose one of the
 //     two endpoint exchanges, chosen by a fair coin, and commit it iff
 //     neither new edge is a self-loop and neither is already present in
-//     the table (checked with thread-safe TestAndSet),
+//     the table (checked with thread-safe TestAndSet). Each worker
+//     takes its pairs 256 at a time: it computes the proposals, admits
+//     them with one batched TestAndSet call
+//     (hashtable.Writer.TestAndSetPairs), then commits the fresh ones.
+//     The table answers the same keys in the same order as a per-pair
+//     loop would, so batching changes no outcome,
 //  4. the table is cleared with a parallel streaming sweep and the
 //     per-worker insert counters are checked against the load contract.
 //
@@ -261,6 +267,10 @@ type Engine struct {
 	successes []par.Cell
 	newly     []par.Cell
 
+	// batches are the workers' sub-block buffers for the register and
+	// sweep phases, one separate allocation each (see batch).
+	batches []*batch
+
 	// iteration counts all iterations run so far; it seeds each
 	// iteration's permutation and proposal streams. permSeed/sweepSeed
 	// are the current iteration's derived seeds, read by the prebound
@@ -440,6 +450,12 @@ func (eng *Engine) bind(el *graph.EdgeList) {
 			eng.h = make([]int32, grown)
 		}
 		eng.h = eng.h[:m]
+		if eng.batches == nil {
+			eng.batches = make([]*batch, eng.p)
+			for w := range eng.batches {
+				eng.batches[w] = new(batch)
+			}
+		}
 	}
 	if eng.opt.TrackSwapped {
 		if cap(eng.swapped) < m {
@@ -639,17 +655,33 @@ func (eng *Engine) counters(w int) *obs.Counters {
 // registerBlock and proposeBlock are the stop-poll intervals of the
 // register phase (in keys) and of the proposal phases (in pairs or
 // triples). Each phase polls once per block in an outer loop, so the
-// per-index loops carry no poll branch.
+// per-index loops carry no poll branch. subBlock is the table batch
+// inside a block, in pairs (the register phase batches 2*subBlock
+// keys); both block sizes are multiples of it.
 const (
 	registerBlock = 8192
 	proposeBlock  = 2048
+	subBlock      = 256
 )
 
+// batch is one worker's sub-block buffer, about 10 KiB. The register
+// phase fills keys with edge keys. The sweep fills it with one
+// sub-block's surviving proposals: the t-th proposes edges props[2t]
+// and props[2t+1] (keys keys[2t] and keys[2t+1]) for pair pair[t], and
+// fresh[t] is the table's verdict on it.
+type batch struct {
+	keys  [2 * subBlock]uint64
+	props [2 * subBlock]graph.Edge
+	pair  [subBlock]int
+	fresh [subBlock]bool
+}
+
 // register is phase 1 on worker w's chunk: insert every current edge
-// into the table. With a counters cell it files each insert's probe
-// length; the directed rule inserts ordered arc keys. The stop flag is
-// polled once per block, outside the per-key loops, which stay
-// branch-free: one loop per key kind.
+// into the table. The plain path packs the keys of 2*subBlock edges at
+// a time into the worker's batch and inserts them with one table call;
+// with a counters cell each insert is probed on its own and its probe
+// length filed. The directed rule inserts ordered arc keys. The stop
+// flag is polled once per block, outside the per-key loops.
 //
 //nullgraph:hotpath
 func (eng *Engine) register(w int, r par.Range) {
@@ -658,23 +690,30 @@ func (eng *Engine) register(w int, r par.Range) {
 	stop := eng.stop
 	ordered := eng.rule == acceptDirected
 	edges := eng.el.Edges
+	keys := eng.batches[w].keys[:]
 	//nullgraph:cancelable
 	for lo := r.Begin; lo < r.End && !stop.Stopped(); lo += registerBlock {
 		block := edges[lo:min(lo+registerBlock, r.End)]
-		switch {
-		case cell != nil:
+		if cell != nil {
 			for _, e := range block {
 				_, probes := wtr.TestAndSetProbed(e.Key())
 				cell.RecordProbe(probes)
 			}
-		case ordered:
-			for _, e := range block {
-				wtr.TestAndSet(arcKey(e))
+			continue
+		}
+		for len(block) > 0 {
+			sub := block[:min(len(block), len(keys))]
+			block = block[len(sub):]
+			if ordered {
+				for t, e := range sub {
+					keys[t] = arcKey(e)
+				}
+			} else {
+				for t, e := range sub {
+					keys[t] = e.Key()
+				}
 			}
-		default:
-			for _, e := range block {
-				wtr.TestAndSet(e.Key())
-			}
+			wtr.InsertKeys(keys[:len(sub)])
 		}
 	}
 }
@@ -695,6 +734,15 @@ func (eng *Engine) targets(w int, r par.Range) {
 // recording never consume randomness, so every combination commits
 // exactly the same swaps.
 //
+// Each block runs in sub-blocks of subBlock pairs, three steps each:
+// compute the proposals that are not self-loops into the worker's
+// batch, admit them with one TestAndSetPairs call (per key through
+// rejectProbed with a recorder; all of them without a table), then
+// commit the fresh ones. A proposal reads only its own pair, so
+// computing a sub-block before committing any of it changes nothing,
+// and the table sees the same keys in the same order as a per-pair
+// loop.
+//
 //nullgraph:hotpath
 func (eng *Engine) sweep(w int, r par.Range) {
 	var src rng.Block
@@ -710,51 +758,68 @@ func (eng *Engine) sweep(w int, r par.Range) {
 	swapped := eng.swapped
 	directed := rule == acceptDirected
 	rejectLoops := rule == acceptSimple || directed
+	b := eng.batches[w]
 	var local, newly int64
 	//nullgraph:cancelable
 	for lo := r.Begin; lo < r.End && !stop.Stopped(); lo += proposeBlock {
 		hi := min(lo+proposeBlock, r.End)
-		for k := lo; k < hi; k++ {
-			i, j := 2*k, 2*k+1
-			coin := src.Bool()
-			var g, h graph.Edge
-			var gk, hk uint64
-			if directed {
-				if coin {
-					continue // the lazy coin: this pair proposes nothing
-				}
-				// The one legal exchange (u→v),(x→y) ⇒ (u→y),(x→v), keyed
-				// as ordered arcs.
-				a, b := edges[i], edges[j]
-				g, h = graph.Edge{U: a.U, V: b.V}, graph.Edge{U: b.U, V: a.V}
-				gk, hk = arcKey(g), arcKey(h)
-			} else {
-				g, h = rewirePair(edges[i], edges[j], coin)
-				gk, hk = g.Key(), h.Key()
-			}
-			if rejectLoops && (g.IsLoop() || h.IsLoop()) {
-				if cell != nil {
-					cell.RejectSelfLoop++
-				}
-				continue
-			}
-			if wtr != nil {
-				if cell == nil {
-					// A rejected h leaves g registered: harmless for
-					// correctness (it only suppresses re-proposals of g this
-					// iteration).
-					if wtr.TestAndSet(gk) || wtr.TestAndSet(hk) {
-						continue
+		for sub := lo; sub < hi; sub += subBlock {
+			n := 0
+			for k := sub; k < min(sub+subBlock, hi); k++ {
+				coin := src.Bool()
+				var g, h graph.Edge
+				var gk, hk uint64
+				if directed {
+					if coin {
+						continue // the lazy coin: this pair proposes nothing
 					}
-				} else if rejectProbed(wtr, cell, gk, hk) {
+					// The one legal exchange (u→v),(x→y) ⇒ (u→y),(x→v),
+					// keyed as ordered arcs.
+					a, c := edges[2*k], edges[2*k+1]
+					g, h = graph.Edge{U: a.U, V: c.V}, graph.Edge{U: c.U, V: a.V}
+					gk, hk = arcKey(g), arcKey(h)
+				} else {
+					g, h = rewirePair(edges[2*k], edges[2*k+1], coin)
+					gk, hk = g.Key(), h.Key()
+				}
+				if rejectLoops && (g.IsLoop() || h.IsLoop()) {
+					if cell != nil {
+						cell.RejectSelfLoop++
+					}
 					continue
 				}
+				b.pair[n] = k
+				b.props[2*n], b.props[2*n+1] = g, h
+				b.keys[2*n], b.keys[2*n+1] = gk, hk
+				n++
 			}
-			edges[i], edges[j] = g, h
-			if swapped != nil {
-				newly += markSwapped(swapped, i) + markSwapped(swapped, j)
+			fresh := b.fresh[:n]
+			switch {
+			case wtr == nil:
+				for t := range fresh {
+					fresh[t] = true
+				}
+			case cell != nil:
+				for t := range fresh {
+					fresh[t] = !rejectProbed(wtr, cell, b.keys[2*t], b.keys[2*t+1])
+				}
+			default:
+				// A rejected h leaves g registered: harmless for
+				// correctness (it only suppresses re-proposals of g this
+				// iteration).
+				wtr.TestAndSetPairs(b.keys[:2*n], fresh)
 			}
-			local++
+			for t, ok := range fresh {
+				if !ok {
+					continue
+				}
+				i := 2 * b.pair[t]
+				edges[i], edges[i+1] = b.props[2*t], b.props[2*t+1]
+				if swapped != nil {
+					newly += markSwapped(swapped, i) + markSwapped(swapped, i+1)
+				}
+				local++
+			}
 		}
 	}
 	eng.successes[w].V = local
