@@ -160,6 +160,17 @@ func TestConnectedShuffleRepairsDisconnectedInput(t *testing.T) {
 	assertConnectedSample(t, res.Graph, map[int64]int64{2: 12}, "two-rings")
 }
 
+// TestConnectedShuffleErrorsOnUnsimplifiableInput: a multigraph whose
+// degree sequence (3, 3, 2) has no simple realization keeps its
+// parallel pair through simplification, and the connected chain runs
+// on simple graphs only, so Shuffle must return an error.
+func TestConnectedShuffleErrorsOnUnsimplifiableInput(t *testing.T) {
+	g := NewGraph([]Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 1}, {U: 2, V: 0}}, 3)
+	if _, err := Shuffle(g, Options{Seed: 1, Connected: true, SwapIterations: 2}); err == nil {
+		t.Fatal("Connected Shuffle of an unsimplifiable multigraph returned no error")
+	}
+}
+
 // TestConnectedRejectsNonSimpleSpace: the option is defined for the
 // simple cell only, and the public layer must say so before any work.
 func TestConnectedRejectsNonSimpleSpace(t *testing.T) {

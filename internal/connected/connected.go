@@ -29,7 +29,11 @@
 //     fragments along the old tree topology, so "every pair
 //     reconnects" implies the whole graph is connected. A search that
 //     exhausts one side without meeting the other has fully explored
-//     that side's component and proves disconnection.
+//     that side's component and proves disconnection. When the
+//     certificate labelled all four endpoints and found no certificate,
+//     the swap is a P–R + Q–Q rewiring: one added edge joins P to R and
+//     each removed edge joined Q to P or R, so the search for e alone
+//     decides whether Q still reaches P ∪ R, and it is the only one run.
 //  4. Full fallback: a bounded search that hits its visit budget while
 //     both frontiers are alive is inconclusive; fall back to one full
 //     BFS from vertex 0.
@@ -39,8 +43,9 @@
 // the new graph that crosses that cut (the certificate's g or h, else
 // the first crossing edge on the path the bounded search found)
 // re-attaches it after the subtree is re-rooted at the crossing edge's
-// inner end. The witness stays a spanning tree, though no longer a BFS
-// tree. The witness is rebuilt as a BFS tree instead when a search fell
+// inner end; after a single P–R + Q–Q search, e re-attaches through the
+// P–R edge and f through e's path, which leaves Q. The witness stays a
+// spanning tree, though no longer a BFS tree. The witness is rebuilt as a BFS tree instead when a search fell
 // through to the full BFS, which saves no path but leaves its own BFS
 // tree to adopt, or when a subtree-membership walk up the parent
 // pointers runs past the search budget, which costs one more BFS and
@@ -48,6 +53,11 @@
 // runs every recheckEvery accepted swaps: it verifies connectivity and
 // that the witness is a spanning tree of the current graph, and panics
 // on an invariant breach. DESIGN.md §16 tabulates the cost model.
+//
+// The adjacency is also the connected chain's simplicity test
+// (HasEdge scans the lower-degree endpoint's neighbours), and each arc
+// records the position of its reverse, so removing an edge scans only
+// its lower-degree end.
 //
 // The Checker is not safe for concurrent use; the serial connected
 // chain in internal/swap owns one per engine.
@@ -86,7 +96,10 @@ type Stats struct {
 	// FastPathHits counts proposals accepted with no traversal at all
 	// (neither removed edge was a witness tree edge).
 	FastPathHits int64
-	// BoundedChecks counts bounded bidirectional searches run;
+	// BoundedChecks counts bounded bidirectional searches run: one
+	// per removed tree edge of a proposal the certificate left
+	// unsettled, except a P–R + Q–Q rewiring (both tree edges removed,
+	// every endpoint labelled, no certificate), which runs one alone.
 	// BoundedConclusive counts those that resolved within budget.
 	BoundedChecks     int64
 	BoundedConclusive int64
@@ -108,7 +121,8 @@ type Stats struct {
 // live adjacency view it maintains itself. Bind it to a connected edge
 // list, then feed every committed swap through SwapKeepsConnected; the
 // checker applies accepted swaps to its adjacency and rolls rejected
-// ones back, so it always mirrors the caller's edge list.
+// ones back, so it always mirrors the caller's edge list, and HasEdge
+// answers membership in it.
 type Checker struct {
 	n int
 
@@ -116,10 +130,13 @@ type Checker struct {
 	// neighbors are nbr[off[v] : off[v]+int64(deg[v])], with capacity
 	// off[v+1]-off[v] equal to v's (invariant) degree. Swaps preserve
 	// every degree, so removals-before-insertions keep each slot range
-	// in bounds and the structure allocation-free after Bind.
-	off []int64
-	nbr []int32
-	deg []int32
+	// in bounds and the structure allocation-free after Bind. twin[p]
+	// is the index of arc p's reverse within the neighbor range of arc
+	// p's head, so an edge is removed by scanning one endpoint's range.
+	off  []int64
+	nbr  []int32
+	twin []int32
+	deg  []int32
 
 	// parent is the spanning-tree witness (parent[root] == -1). An
 	// edge (u,v) is a tree edge iff parent[u] == v or parent[v] == u.
@@ -160,7 +177,8 @@ func NewChecker() *Checker {
 
 // Bind (re)builds the checker's adjacency and witness tree for el,
 // reusing buffers when capacities allow, and resets the outcome
-// counters. It errors when el is not a connected simple graph — the
+// counters. It errors when el is not a connected simple graph (a
+// self-loop, a parallel edge or more than one component) — the
 // connected chain's hard precondition (see Connect for the repair).
 func (c *Checker) Bind(el *graph.EdgeList) error {
 	n := el.NumVertices
@@ -201,12 +219,24 @@ func (c *Checker) Bind(el *graph.EdgeList) error {
 	}
 	if cap(c.nbr) < 2*m {
 		c.nbr = make([]int32, 2*m)
+		c.twin = make([]int32, 2*m)
 	}
 	c.nbr = c.nbr[:2*m]
+	c.twin = c.twin[:2*m]
 	clear(c.deg)
 	for _, e := range el.Edges {
-		c.addArc(e.U, e.V)
-		c.addArc(e.V, e.U)
+		c.addEdge(e)
+	}
+	// A parallel edge repeats a neighbor within one range: stamp each
+	// range's neighbors with a fresh epoch.
+	for v := 0; v < n; v++ {
+		c.epoch++
+		for _, w := range c.nbr[c.off[v] : c.off[v]+int64(c.deg[v])] {
+			if c.stamp[w] == c.epoch {
+				return fmt.Errorf("connected: input has parallel edges between %d and %d; the connected chain runs on simple graphs only", v, w)
+			}
+			c.stamp[w] = c.epoch
+		}
 	}
 	c.accepted = 0
 	c.stats = Stats{}
@@ -257,6 +287,46 @@ func (c *Checker) witnessIntact(e, f graph.Edge) bool {
 	return true
 }
 
+// HasEdge reports whether e is a current edge of the checker's graph.
+// It scans the neighbor range of e's lower-degree endpoint.
+//
+//nullgraph:hotpath
+func (c *Checker) HasEdge(e graph.Edge) bool {
+	_, _, i := c.find(e)
+	return i >= 0
+}
+
+// find returns e's lower-degree endpoint u, its other endpoint v and
+// the index of v within u's neighbor range, or -1 when e is absent.
+//
+//nullgraph:hotpath
+func (c *Checker) find(e graph.Edge) (u, v, i int32) {
+	u, v = e.U, e.V
+	if c.deg[v] < c.deg[u] {
+		u, v = v, u
+	}
+	base := c.off[u]
+	for k, w := range c.nbr[base : base+int64(c.deg[u])] {
+		if w == v {
+			return u, v, int32(k)
+		}
+	}
+	return u, v, -1
+}
+
+// Outcomes of certify.
+const (
+	// certified: g and h join the fragments, and the witness is
+	// repaired.
+	certified = iota
+	// searchOne: both removed edges are tree edges and g and h rewire
+	// them P–R + Q–Q, so the search for e alone decides.
+	searchOne
+	// searchEach: search for every removed tree edge (one tree edge
+	// removed, or a labelling walk passed the search budget).
+	searchEach
+)
+
 // SwapKeepsConnected decides the proposed swap (remove e and f, add g
 // and h) and, when it keeps the graph connected, applies it to the
 // checker's adjacency. Preconditions (the swap engine's proposal
@@ -273,11 +343,12 @@ func (c *Checker) SwapKeepsConnected(e, f, g, h graph.Edge) bool {
 	}
 	// A removed edge is a tree edge: apply tentatively and verify.
 	c.apply(e, f, g, h)
-	if c.certify(e, f, g, h) {
+	cert := c.certify(e, f, g, h)
+	if cert == certified {
 		c.maybeRecheck()
 		return true
 	}
-	if c.stillConnected(e, f) {
+	if c.stillConnected(e, f, cert == searchOne) {
 		if !c.repairWitness(e, f, g, h) {
 			// Rebuild. A full BFS that settled the verdict has already
 			// left a BFS tree of this graph in pred.
@@ -305,20 +376,27 @@ func (c *Checker) SwapKeepsConnected(e, f, g, h graph.Edge) bool {
 // spanning tree of it. With one tree edge removed, g or h must cross
 // the cut. With two, {g, h} rewires the endpoints of {e, f}, which lie
 // in fragments {P, Q, Q, R}; g and h span all three exactly when each
-// joins two different fragments. certify reports false, having changed
-// nothing, when no certificate exists or a labelling walk passes the
-// search budget.
+// joins two different fragments; otherwise one of them joins Q to Q
+// and the other P to R. certify returns certified, or, having changed
+// nothing, searchOne for that P–R + Q–Q miss and searchEach when one
+// tree edge was removed or a labelling walk passed the search budget.
 //
 //nullgraph:hotpath
-func (c *Checker) certify(e, f, g, h graph.Edge) bool {
+func (c *Checker) certify(e, f, g, h graph.Edge) int {
 	a, b := c.treeChild(e), c.treeChild(f)
 	if a < 0 || b < 0 {
-		return c.hangCrossing(max(a, b), g, h) > 0
+		if c.hangCrossing(max(a, b), g, h) > 0 {
+			return certified
+		}
+		return searchEach
 	}
 	lg := [2]int{c.fragment(g.U, a, b), c.fragment(g.V, a, b)}
 	lh := [2]int{c.fragment(h.U, a, b), c.fragment(h.V, a, b)}
-	if min(lg[0], lg[1], lh[0], lh[1]) < 0 || lg[0] == lg[1] || lh[0] == lh[1] {
-		return false
+	if min(lg[0], lg[1], lh[0], lh[1]) < 0 {
+		return searchEach
+	}
+	if lg[0] == lg[1] || lh[0] == lh[1] {
+		return searchOne
 	}
 	// The fragments form a path through g and h, and at least one of
 	// them joins a subtree fragment k to the root's: hang k through that
@@ -330,7 +408,7 @@ func (c *Checker) certify(e, f, g, h graph.Edge) bool {
 	k := lg[0] + lg[1]
 	c.hang(g, lg, k, child[k])
 	c.hang(h, lh, 3-k, child[3-k])
-	return true
+	return certified
 }
 
 // treeChild returns the child endpoint of t when t is a witness tree
@@ -352,15 +430,18 @@ func (c *Checker) treeChild(t graph.Edge) int32 {
 // keep each tree fragment internally connected, so reconnecting every
 // removed tree edge's endpoint pair re-links the fragments along the
 // old tree topology (see the package doc); any pair that fails to
-// reconnect is a proven disconnection. Each conclusive search saves
-// its connecting path for repairWitness.
-func (c *Checker) stillConnected(e, f graph.Edge) bool {
+// reconnect is a proven disconnection. With one set, e and f are tree
+// edges rewired P–R + Q–Q, and e's endpoint pair (Q and P or R)
+// reconnects exactly when Q reaches P ∪ R, so e's search decides
+// alone. Each conclusive search saves its connecting path for
+// repairWitness.
+func (c *Checker) stillConnected(e, f graph.Edge, one bool) bool {
 	c.path = c.path[:0]
 	c.pathsSaved = true
 	for i, t := range [2]graph.Edge{e, f} {
 		c.pathEnd[i] = len(c.path)
-		if c.parent[t.U] != t.V && c.parent[t.V] != t.U {
-			continue // not a tree edge: no fragment boundary here
+		if c.treeChild(t) < 0 || (one && i == 1) {
+			continue // no fragment boundary here, or e's search decided
 		}
 		switch c.boundedReconnect(t.U, t.V) {
 		case -1:
@@ -468,6 +549,11 @@ func (c *Checker) savePath(u, a, b, v int32) {
 // taken one at a time: the new graph is connected, hence some edge of
 // it crosses the cut that removing t leaves in the current tree, and
 // the path the search found from t.U to t.V is one such candidate set.
+// A P–R + Q–Q rewiring saved e's path alone. Say e joined Q to P and
+// f joined Q to R. With f still in the tree, e's cut separates P from
+// Q ∪ R, which of g and h only the P–R edge crosses, so e re-attaches
+// through it; f's cut then separates Q from P ∪ R, and e's path, which
+// runs from Q to P, crosses it.
 func (c *Checker) repairWitness(e, f, g, h graph.Edge) bool {
 	if !c.pathsSaved {
 		return false
@@ -477,7 +563,10 @@ func (c *Checker) repairWitness(e, f, g, h graph.Edge) bool {
 		p := c.path[start:c.pathEnd[i]]
 		start = c.pathEnd[i]
 		if len(p) == 0 {
-			continue // not a tree edge
+			if i == 0 || c.treeChild(t) < 0 {
+				continue // not a tree edge
+			}
+			p = c.path[:c.pathEnd[0]] // one search: f re-links on e's path
 		}
 		if !c.relink(t, g, h, p) {
 			return false
@@ -489,7 +578,8 @@ func (c *Checker) repairWitness(e, f, g, h graph.Edge) bool {
 // relink replaces tree edge t, absent from the graph, with a graph edge
 // (x, y) that crosses the cut t leaves: x in the subtree of t's child
 // endpoint, y outside it. It tries g and h first, then the edges of
-// path (t.U … t.V) in order, and hangs the subtree on y through x.
+// path (t.U … t.V, or another path whose ends that cut separates) in
+// order, and hangs the subtree on y through x.
 func (c *Checker) relink(t, g, h graph.Edge, path []int32) bool {
 	child := c.treeChild(t)
 	switch c.hangCrossing(child, g, h) {
@@ -499,8 +589,14 @@ func (c *Checker) relink(t, g, h graph.Edge, path []int32) bool {
 		return false
 	}
 	prev := 0
-	if path[0] == child {
+	switch path[0] {
+	case child:
 		prev = 1
+	case t.U, t.V: // t's parent end, outside the subtree
+	default:
+		if prev = c.fragment(path[0], child, -1); prev < 0 {
+			return false
+		}
 	}
 	for i := 1; i < len(path); i++ {
 		side := c.fragment(path[i], child, -1)
@@ -637,7 +733,7 @@ func (c *Checker) witnessFault() string {
 	for v, p := range c.parent {
 		if p < 0 {
 			roots++
-		} else if !c.hasArc(int32(v), p) {
+		} else if !c.HasEdge(graph.Edge{U: int32(v), V: p}) {
 			return fmt.Sprintf("holds (%d,%d), which is not an edge", v, p)
 		}
 	}
@@ -671,38 +767,51 @@ func (c *Checker) witnessFault() string {
 	return ""
 }
 
-func (c *Checker) hasArc(u, v int32) bool {
-	return slices.Contains(c.nbr[c.off[u]:c.off[u]+int64(c.deg[u])], v)
-}
-
 // apply replaces edges e and f with g and h in the adjacency.
 // Removals run before insertions so no vertex's neighbor count ever
 // exceeds its (invariant) degree capacity.
 func (c *Checker) apply(e, f, g, h graph.Edge) {
-	c.removeArc(e.U, e.V)
-	c.removeArc(e.V, e.U)
-	c.removeArc(f.U, f.V)
-	c.removeArc(f.V, f.U)
-	c.addArc(g.U, g.V)
-	c.addArc(g.V, g.U)
-	c.addArc(h.U, h.V)
-	c.addArc(h.V, h.U)
+	c.removeEdge(e)
+	c.removeEdge(f)
+	c.addEdge(g)
+	c.addEdge(h)
 }
 
-func (c *Checker) addArc(u, v int32) {
-	c.nbr[c.off[u]+int64(c.deg[u])] = v
+// addEdge appends e's two arcs, each pointing at the other.
+func (c *Checker) addEdge(e graph.Edge) {
+	u, v := e.U, e.V
+	pu, pv := c.off[u]+int64(c.deg[u]), c.off[v]+int64(c.deg[v])
+	c.nbr[pu], c.twin[pu] = v, c.deg[v]
+	c.nbr[pv], c.twin[pv] = u, c.deg[u]
 	c.deg[u]++
+	c.deg[v]++
 }
 
-func (c *Checker) removeArc(u, v int32) {
-	base := c.off[u]
-	last := int64(c.deg[u]) - 1
-	for i := int64(0); i <= last; i++ {
-		if c.nbr[base+i] == v {
-			c.nbr[base+i] = c.nbr[base+last]
-			c.deg[u]--
-			return
-		}
+// removeEdge deletes e's two arcs: it finds e at its lower-degree end
+// and follows the twin index to the other.
+//
+//nullgraph:hotpath
+func (c *Checker) removeEdge(e graph.Edge) {
+	u, v, i := c.find(e)
+	if i < 0 {
+		panic("connected: removeEdge on absent edge (checker out of sync with the edge list)")
 	}
-	panic("connected: removeArc on absent edge (checker out of sync with the edge list)")
+	j := c.twin[c.off[u]+int64(i)]
+	c.removeArc(u, i)
+	c.removeArc(v, j)
+}
+
+// removeArc deletes the arc at index i of u's neighbor range by moving
+// the range's last arc into its place and pointing that arc's reverse
+// at its new index.
+//
+//nullgraph:hotpath
+func (c *Checker) removeArc(u, i int32) {
+	c.deg[u]--
+	last := c.off[u] + int64(c.deg[u])
+	if p := c.off[u] + int64(i); p != last {
+		w, tw := c.nbr[last], c.twin[last]
+		c.nbr[p], c.twin[p] = w, tw
+		c.twin[c.off[w]+int64(tw)] = i
+	}
 }

@@ -152,6 +152,25 @@ func TestBindRejectsLoops(t *testing.T) {
 	}
 }
 
+// TestBindRejectsMultiEdges pins that Bind refuses a parallel pair:
+// the checker's adjacency is the connected chain's simplicity test,
+// which holds only from a simple start.
+func TestBindRejectsMultiEdges(t *testing.T) {
+	el := graph.NewEdgeList([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 1}, {U: 2, V: 0}}, 3)
+	c := NewChecker()
+	err := c.Bind(el)
+	if err == nil {
+		t.Fatal("Bind on a multigraph should error")
+	}
+	if !strings.Contains(err.Error(), "parallel") {
+		t.Fatalf("Bind error %q does not name the parallel edges", err)
+	}
+	// The same triangle without the repeat binds.
+	if err := c.Bind(cycle(3)); err != nil {
+		t.Fatalf("Bind(C3) after a rejected multigraph: %v", err)
+	}
+}
+
 func TestCheckerRejectsDisconnectingSwap(t *testing.T) {
 	// C6; swapping edges (0,1) and (3,4) into (0,4),(1,3) splits it
 	// into two triangles.
@@ -258,6 +277,28 @@ var (
 		e:    graph.Edge{U: 1, V: 2}, f: graph.Edge{U: 4, V: 5},
 		g: graph.Edge{U: 1, V: 5}, h: graph.Edge{U: 2, V: 4},
 	}
+	// prqqSwap: thetaSwap's graph and tree edges rewired the other way.
+	// (1,2) and (5,4) leave P = {2}, Q = {0,1,3,5} and R = {4}; g =
+	// (1,5) joins Q to Q and h = (2,4) joins P to R. No certificate
+	// exists, but the chord (0,3) keeps Q joined to P through 3–2.
+	prqqSwap = swapCase{
+		name: "P-R+Q-Q",
+		el:   withChord(6, 0, 3),
+		tree: [][2]int32{{2, 1}, {4, 5}},
+		e:    graph.Edge{U: 1, V: 2}, f: graph.Edge{U: 5, V: 4},
+		g: graph.Edge{U: 1, V: 5}, h: graph.Edge{U: 2, V: 4},
+	}
+	// deepSwap: C12 plus chord (1,10), whose BFS witness is the paths
+	// 0-1-2-3-4-5-6, 1-10-9-8-7 and 0-11. Tree edges (5,6) and (8,7)
+	// become (5,7) and (6,8); at a budget of 4 the certificate's walk
+	// up from 5 gives up before it reaches the root.
+	deepSwap = swapCase{
+		name: "deep",
+		el:   withChord(12, 1, 10),
+		tree: [][2]int32{{6, 5}, {7, 8}},
+		e:    graph.Edge{U: 5, V: 6}, f: graph.Edge{U: 8, V: 7},
+		g: graph.Edge{U: 5, V: 7}, h: graph.Edge{U: 6, V: 8},
+	}
 )
 
 // TestCheckerStatsPaths pins which counters each check tier bumps.
@@ -276,6 +317,14 @@ func TestCheckerStatsPaths(t *testing.T) {
 		// A budget of 2 leaves the search inconclusive; the full BFS
 		// that settles it saves no path, so the witness is rebuilt.
 		{chordSwap, 0, Stats{Proposals: 1, BoundedChecks: 1, FullChecks: 1, WitnessRebuilds: 1}},
+		// Every endpoint labelled and no certificate: the search for e
+		// alone decides, and e re-links through h and f through e's
+		// path, with no rebuild.
+		{prqqSwap, defaultBound, Stats{Proposals: 1, BoundedChecks: 1, BoundedConclusive: 1}},
+		// A labelling walk gave up, so the rewiring is unknown and each
+		// removed tree edge gets its own search; the repair's walks give
+		// up too, so the witness is rebuilt.
+		{deepSwap, 4, Stats{Proposals: 1, BoundedChecks: 2, BoundedConclusive: 2, WitnessRebuilds: 1}},
 	} {
 		c := tc.bind(t, tc.bound)
 		if !c.SwapKeepsConnected(tc.e, tc.f, tc.g, tc.h) {
@@ -430,11 +479,31 @@ func assertWitness(t *testing.T, c *Checker, el *graph.EdgeList) {
 	}
 }
 
+// assertTwins checks the checker's twin index: each arc's twin is the
+// index of its reverse arc within the head's neighbor range, and the
+// reverse arc's twin points back.
+func assertTwins(t *testing.T, c *Checker) {
+	t.Helper()
+	for u := 0; u < c.n; u++ {
+		for i := int32(0); i < c.deg[u]; i++ {
+			p := c.off[u] + int64(i)
+			v, j := c.nbr[p], c.twin[p]
+			if j < 0 || j >= c.deg[v] {
+				t.Fatalf("arc %d->%d: twin index %d outside %d's %d neighbors", u, v, j, v, c.deg[v])
+			}
+			if q := c.off[v] + int64(j); c.nbr[q] != int32(u) || c.twin[q] != i {
+				t.Fatalf("arc %d->%d at %d: twin %d holds arc %d->%d with twin %d", u, v, i, j, v, c.nbr[q], c.twin[q])
+			}
+		}
+	}
+}
+
 // TestCheckerMatchesGroundTruth exhaustively proposes every legal swap
 // on several small connected graphs and checks the verdict against a
 // from-scratch component count of the post-swap graph, at the default
 // budget and at a tiny budget that forces the full-BFS fallback. Every
-// accepted swap must leave the witness a spanning tree of the new graph.
+// accepted swap must leave the witness a spanning tree of the new graph
+// and every arc's twin its reverse.
 func TestCheckerMatchesGroundTruth(t *testing.T) {
 	starts := []*graph.EdgeList{cycle(6), cycle(8)}
 	if el, err := Realize(mustDist(t, []int64{3, 3, 3, 3, 3, 3, 3, 3})); err != nil {
@@ -481,6 +550,7 @@ func TestCheckerMatchesGroundTruth(t *testing.T) {
 						}
 						if got {
 							assertWitness(t, c, el)
+							assertTwins(t, c)
 						}
 					}
 				}
@@ -496,7 +566,7 @@ func TestCheckerMatchesGroundTruth(t *testing.T) {
 // TestCheckerRandomChain runs a long random swap chain on a cubic
 // graph with the recheck forced every accepted swap, so the internal
 // invariant panic would fire on any bookkeeping bug, and validates the
-// witness independently after every accepted swap.
+// witness and the twin index independently after every accepted swap.
 func TestCheckerRandomChain(t *testing.T) {
 	degrees := []int64{3, 3, 3, 3, 3, 3, 3, 3, 3, 3}
 	el, err := Realize(mustDist(t, degrees))
@@ -551,8 +621,8 @@ func TestCheckerPathLikeChain(t *testing.T) {
 }
 
 // randomChain proposes steps uniform random swaps on el, applies the
-// ones c accepts to el, validates the witness after each, and returns
-// the number accepted.
+// ones c accepts to el, validates the witness and the twin index after
+// each, and returns the number accepted.
 func randomChain(t *testing.T, c *Checker, el *graph.EdgeList, seed uint64, steps int) int {
 	t.Helper()
 	src := rng.New(seed)
@@ -574,6 +644,7 @@ func randomChain(t *testing.T, c *Checker, el *graph.EdgeList, seed uint64, step
 			el.Edges[i], el.Edges[j] = g, h
 			accepted++
 			assertWitness(t, c, el)
+			assertTwins(t, c)
 		}
 	}
 	if accepted == 0 {
@@ -613,9 +684,9 @@ func TestRecheckPanicsOnBrokenWitness(t *testing.T) {
 
 // TestSwapKeepsConnectedDoesNotAllocate pins that every path of the
 // check (fast path, bounded searches, local repair, rollback, full
-// fallback and rebuild, recheck) allocates nothing after Bind. Each
-// accepted proposal is undone by its inverse, so the same proposal
-// list stays legal on every run.
+// fallback and rebuild, recheck) and the HasEdge simplicity test
+// allocate nothing after Bind. Each accepted proposal is undone by its
+// inverse, so the same proposal list stays legal on every run.
 func TestSwapKeepsConnectedDoesNotAllocate(t *testing.T) {
 	el := treePlusChords(256, 400, 3)
 	type proposal struct{ e, f, g, h graph.Edge }
@@ -640,8 +711,12 @@ func TestSwapKeepsConnectedDoesNotAllocate(t *testing.T) {
 		if err := c.Bind(el); err != nil {
 			t.Fatalf("Bind: %v", err)
 		}
+		wrong := 0
 		allocs := testing.AllocsPerRun(5, func() {
 			for _, p := range props {
+				if !c.HasEdge(p.e) || !c.HasEdge(p.f) || c.HasEdge(p.g) || c.HasEdge(p.h) {
+					wrong++
+				}
 				if c.SwapKeepsConnected(p.e, p.f, p.g, p.h) {
 					c.SwapKeepsConnected(p.g, p.h, p.e, p.f)
 				}
@@ -649,6 +724,9 @@ func TestSwapKeepsConnectedDoesNotAllocate(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("bound %d: SwapKeepsConnected allocated %v times per run", bound, allocs)
+		}
+		if wrong != 0 {
+			t.Errorf("bound %d: HasEdge misjudged %d proposals' edges", bound, wrong)
 		}
 		if st := c.StatsSnapshot(); st.RejectedDisconnecting == 0 || st.BoundedChecks == 0 {
 			t.Errorf("bound %d: proposals missed a check path: %+v", bound, st)
@@ -682,13 +760,9 @@ func treePlusChords(n, m int, seed uint64) *graph.EdgeList {
 // BenchmarkCheckerSparseChain times one proposal of a random swap chain
 // through the checker on a sparse connected graph (2048 vertices, 4096
 // edges), where most proposals remove a witness-tree edge. The
-// simplicity filter is a map lookup, as cheap as the engine's.
+// simplicity filter is HasEdge, as in the engine's connected chain.
 func BenchmarkCheckerSparseChain(b *testing.B) {
 	el := treePlusChords(2048, 4096, 1)
-	keys := make(map[uint64]bool, len(el.Edges))
-	for _, e := range el.Edges {
-		keys[e.Key()] = true
-	}
 	c := NewChecker()
 	if err := c.Bind(el); err != nil {
 		b.Fatal(err)
@@ -703,14 +777,10 @@ func BenchmarkCheckerSparseChain(b *testing.B) {
 		if src.Bool() {
 			g, h = graph.Edge{U: e.U, V: f.V}, graph.Edge{U: e.V, V: f.U}
 		}
-		if i == j || g.IsLoop() || h.IsLoop() || g.Key() == h.Key() || keys[g.Key()] || keys[h.Key()] {
+		if i == j || g.IsLoop() || h.IsLoop() || g.Key() == h.Key() || c.HasEdge(g) || c.HasEdge(h) {
 			continue
 		}
 		if c.SwapKeepsConnected(e, f, g, h) {
-			delete(keys, e.Key())
-			delete(keys, f.Key())
-			keys[g.Key()] = true
-			keys[h.Key()] = true
 			el.Edges[i], el.Edges[j] = g, h
 		}
 	}

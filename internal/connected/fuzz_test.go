@@ -84,7 +84,8 @@ func seedBytes(degrees ...uint32) []byte {
 // the swap of two edge positions with one of the two rewirings. Every
 // verdict must equal a from-scratch component count of the post-swap
 // graph, every accept must leave the witness a spanning tree of it,
-// and the recheck after every accept must not panic.
+// the recheck after every accept must not panic, and after every
+// proposal HasEdge must agree with an edge-set oracle on e, f, g and h.
 func FuzzCheckerChain(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{6, 0, 0, 1, 2, 3, 4, 1, 0, 3, 0, 4, 1, 1, 3, 0, 2, 5, 1})        // cycle-like, bound 2
@@ -139,19 +140,27 @@ func FuzzCheckerChain(f *testing.F) {
 			if coin == 1 {
 				g, h = graph.Edge{U: e.U, V: f.V}, graph.Edge{U: e.V, V: f.U}
 			}
-			if !validProposal(el, i, j, g, h) {
-				continue
+			if validProposal(el, i, j, g, h) {
+				got := c.SwapKeepsConnected(e, f, g, h)
+				after := el.Clone()
+				after.Edges[i], after.Edges[j] = g, h
+				if _, count := graph.ConnectedComponents(after, 1); got != (count == 1) {
+					t.Fatalf("swap (%v,%v)->(%v,%v): checker says %v, graph has %d components", e, f, g, h, got, count)
+				}
+				if got {
+					el = after
+					delete(seen, e.Key())
+					delete(seen, f.Key())
+					seen[g.Key()] = true
+					seen[h.Key()] = true
+				}
+				assertWitness(t, c, el)
 			}
-			got := c.SwapKeepsConnected(e, f, g, h)
-			after := el.Clone()
-			after.Edges[i], after.Edges[j] = g, h
-			if _, count := graph.ConnectedComponents(after, 1); got != (count == 1) {
-				t.Fatalf("swap (%v,%v)->(%v,%v): checker says %v, graph has %d components", e, f, g, h, got, count)
+			for _, x := range [4]graph.Edge{e, f, g, h} {
+				if got := c.HasEdge(x); got != seen[x.Key()] {
+					t.Fatalf("after (%v,%v)->(%v,%v): HasEdge(%v) = %v, want %v", e, f, g, h, x, got, !got)
+				}
 			}
-			if got {
-				el = after
-			}
-			assertWitness(t, c, el)
 		}
 	})
 }

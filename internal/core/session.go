@@ -483,6 +483,11 @@ func (e *Engine) prepare(res *Result, seed uint64) error {
 		return err
 	}
 	if e.opt.Connected {
+		// The connected chain runs on simple graphs only: a degree
+		// sequence with no simple realization keeps its defects.
+		if res.Simplify != nil && !res.Simplify.Simple {
+			return fmt.Errorf("core: connected sampling needs a simple graph; %d defects remain after simplification", res.Simplify.ResidualDefects)
+		}
 		// Repair runs after simplification so the component-joining
 		// swaps see a simple graph; an already-connected input passes
 		// through untouched (zero merges).

@@ -10,7 +10,9 @@
 // interleaving without serializing the commits anyway. So the
 // connected cell follows the vertex-MH precedent: a serial sweep of
 // ⌊m/2⌋ proposals drawn as uniform ordered position pairs plus a fair
-// coin, bit-reproducible for any Workers setting.
+// coin, bit-reproducible for any Workers setting. Its only state beside
+// the edge list is the checker's adjacency, which also answers the
+// simplicity test, so the chain keeps no edge multiset.
 //
 // Why plain rejection samples uniformly: in the simple cell stub- and
 // vertex-labeled uniformity coincide, the pair-and-coin proposal is
@@ -44,10 +46,11 @@ func (eng *Engine) ConnectivityStats() *connected.Stats {
 }
 
 // stepConnected runs one serial connectivity-preserving sweep: ⌊m/2⌋
-// proposals, each accepted iff it keeps the graph simple (live
-// multiset check, as stepVertex) and connected (checker hierarchy:
-// witness fast path, cut certificate, bounded bidirectional BFS,
-// full-BFS fallback).
+// proposals, each accepted iff it keeps the graph simple (neither g
+// nor h is in the checker's adjacency, which mirrors the edge list)
+// and connected (checker hierarchy: witness fast path, cut
+// certificate, bounded bidirectional BFS, full-BFS fallback). The
+// checker applies an accepted swap to its adjacency itself.
 func (eng *Engine) stepConnected() (IterStats, bool) {
 	m := len(eng.el.Edges)
 	it := eng.iteration
@@ -60,7 +63,6 @@ func (eng *Engine) stepConnected() (IterStats, bool) {
 	}
 	src := rng.New(sweepSeedFor(eng.opt.Seed, it))
 	edges := eng.el.Edges
-	ms := eng.ms
 	conn := eng.conn
 	stop := eng.stop
 	swapped := eng.swapped
@@ -72,7 +74,7 @@ func (eng *Engine) stepConnected() (IterStats, bool) {
 		if stop != nil && k&2047 == 0 && stop.Stopped() {
 			// As in stepVertex: committed proposals are individually
 			// valid connected states, so a partial sweep leaves the edge
-			// list, multiset, and checker consistent; the interrupted
+			// list and the checker consistent; the interrupted
 			// iteration's statistics are dropped.
 			return IterStats{}, true
 		}
@@ -91,7 +93,7 @@ func (eng *Engine) stepConnected() (IterStats, bool) {
 		if g.IsLoop() || h.IsLoop() {
 			continue
 		}
-		if gk == hk || ms.Count(gk) > 0 || ms.Count(hk) > 0 {
+		if gk == hk || conn.HasEdge(g) || conn.HasEdge(h) {
 			// Would create a parallel pair: out of the simple cell.
 			continue
 		}
@@ -100,10 +102,6 @@ func (eng *Engine) stepConnected() (IterStats, bool) {
 			// checker already rolled its adjacency back.
 			continue
 		}
-		ms.RemoveEdge(e)
-		ms.RemoveEdge(f)
-		ms.AddEdge(g)
-		ms.AddEdge(h)
 		edges[i], edges[j] = g, h
 		if swapped != nil {
 			newly += markSwapped(swapped, i) + markSwapped(swapped, j)

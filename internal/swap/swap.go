@@ -237,7 +237,7 @@ type Engine struct {
 	// register and clear phases entirely. rule is the acceptance rule
 	// the parallel sweep applies (a stub cell's, or the directed
 	// chain's); ms is the live multiplicity view the vertex-labeled
-	// step reads.
+	// step reads (the connected step reads its checker instead).
 	vertexMH bool
 	useTable bool
 	rule     acceptRule
@@ -317,9 +317,9 @@ func NewEngine(el *graph.EdgeList, opt Options) *Engine {
 		if opt.Space.AllowsLoops() || opt.Space.AllowsMulti() {
 			panic("swap: Connected sampling is defined for the simple cell only (Options.Validate catches this)")
 		}
-		// The connected chain is a serial sweep over live multiplicity
-		// and adjacency state (like the vertex-MH cells), so the frozen
-		// table and the permutation machinery are dead weight.
+		// The connected chain is a serial sweep over the checker's live
+		// adjacency (like the vertex-MH cells over their multiset), so
+		// the frozen table and the permutation machinery are dead weight.
 		eng.connMode = true
 		eng.useTable = false
 		eng.conn = connected.NewChecker()
@@ -388,8 +388,8 @@ func newEngine(opt Options) *Engine {
 func (eng *Engine) bind(el *graph.EdgeList) {
 	eng.el = el
 	m := len(el.Edges)
-	if eng.vertexMH || eng.connMode {
-		// The serial steps read multiplicities instead of a frozen
+	if eng.vertexMH {
+		// The vertex-MH steps read multiplicities instead of a frozen
 		// table and propose positions directly, so the multiset is the
 		// per-edge-list state they need.
 		if eng.ms == nil {
@@ -404,6 +404,7 @@ func (eng *Engine) bind(el *graph.EdgeList) {
 	if eng.connMode {
 		// The connected chain's hard precondition is a connected simple
 		// input; callers repair with connected.Connect before binding.
+		// The checker's adjacency is also its simplicity test.
 		if err := eng.conn.Bind(el); err != nil {
 			panic("swap: " + err.Error())
 		}
